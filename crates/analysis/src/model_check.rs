@@ -19,8 +19,9 @@
 //! edge choices (remove edge `e`, or remove nothing) with
 //! [`Simulation::step_with_edge`] and classifies the successor. Successors are
 //! deduplicated **per level** on the canonicalised configuration key of
-//! [`SimCheckpoint::canonical_key`] (lexicographic minimum over the ring's
-//! rotation/reflection automorphisms), which quotients away the agents'
+//! [`SimCheckpoint::canonical_key`] (lexicographic minimum over the
+//! rotation and reflection carrying agent 0 to node 0, an invariant of each
+//! orbit of the ring's automorphisms), which quotients away the agents'
 //! anonymity. Keys are only compared within a level because the FSYNC round
 //! hint makes configurations at different depths genuinely different states.
 //!

@@ -36,7 +36,14 @@
 //!   comparable across cells that only differ in where the landmark sits.
 //!
 //! The key is the lexicographic minimum of the encoded configuration over
-//! the admissible maps (2 for landmark rings, `2n` for anonymous ones).
+//! the two maps carrying an **anchor** node to node 0 (the rotation, and the
+//! reflection through the anchor): the landmark on landmark rings, agent 0's
+//! node on anonymous ones — 2 candidates instead of all `2n` symmetries.
+//! Symmetries relabel nodes but never agents, so if `M(c)` is the set of
+//! maps sending the anchor of `c` to node 0, then `M(g·c) = M(c)∘g⁻¹` for
+//! every ring symmetry `g`; the set of images `{m·c : m ∈ M(c)}`, and hence
+//! its minimum, is therefore the same for every configuration of an orbit.
+//!
 //! The encoding covers exactly the state that can influence future
 //! behaviour: the permuted visit map, each agent's mapped position, held
 //! port, termination flag, handedness, prior outcome, sleep/activation ages
@@ -64,17 +71,23 @@
 //!   held port (2 bits), termination flag, reflection-adjusted handedness,
 //!   and prior outcome (3 bits).
 //!
-//! Any injective encoding yields the same equivalence classes as any other
-//! over the same map family: the orbits of the symmetry group partition the
-//! configuration space, and two orbits sharing their minimal encoded element
-//! are equal. The retired `Debug`-string encoding is kept as
-//! [`SimCheckpoint::canonical_key_debug`] so benches and the equivalence
-//! proptests can measure and verify exactly that.
+//! Any encoding that is injective per map yields the same equivalence
+//! classes as any other, over any orbit-invariant map family: the orbits of
+//! the symmetry group partition the configuration space, and two orbits
+//! sharing their minimal encoded element are equal. The retired
+//! `Debug`-string encoding is kept as [`SimCheckpoint::canonical_key_debug`],
+//! still minimising over all `2n` maps, so benches and the equivalence
+//! proptests can measure and verify exactly that against the full group.
 
 use crate::world::AgentProgram;
 use dynring_graph::{GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::PriorOutcome;
 use std::fmt::Write as _;
+
+/// Largest ring the packed key encodes injectively: mapped nodes are `u16`.
+const MAX_KEY_NODES: usize = u16::MAX as usize + 1;
+/// Largest team the packed key encodes injectively: last-active ranks are `u8`.
+const MAX_KEY_AGENTS: usize = u8::MAX as usize + 1;
 
 /// Recycled scratch buffers for [`SimCheckpoint::canonical_key_into`].
 ///
@@ -173,7 +186,7 @@ impl SimCheckpoint {
     ///
     /// # Panics
     ///
-    /// Panics if `ring`'s size does not match the checkpoint.
+    /// Panics like [`SimCheckpoint::canonical_key_into`].
     pub fn canonical_key(&self, ring: &RingTopology, out: &mut Vec<u8>) {
         let mut scratch = KeyScratch::new();
         self.canonical_key_into(ring, &mut scratch, out);
@@ -187,7 +200,10 @@ impl SimCheckpoint {
     ///
     /// # Panics
     ///
-    /// Panics if `ring`'s size does not match the checkpoint.
+    /// Panics if `ring`'s size does not match the checkpoint, if the ring has
+    /// more than 65,536 nodes (mapped nodes are encoded as `u16`), or if the
+    /// team has more than 256 agents (last-active ranks are encoded as `u8`):
+    /// beyond either bound distinct configurations would share a key.
     pub fn canonical_key_into(
         &self,
         ring: &RingTopology,
@@ -196,10 +212,13 @@ impl SimCheckpoint {
     ) {
         let n = ring.size();
         assert_eq!(self.visited.len(), n, "checkpoint is from a different ring");
-        // Symmetry-invariant prefix: both map families relabel nodes and
+        assert!(n <= MAX_KEY_NODES, "canonical key supports at most {MAX_KEY_NODES} nodes, ring has {n}");
+        let agents = self.node.len();
+        assert!(agents <= MAX_KEY_AGENTS, "canonical key supports at most {MAX_KEY_AGENTS} agents, team has {agents}");
+        // Symmetry-invariant prefix: the symmetry maps relabel nodes and
         // global directions but never touch round counters, scheduler state,
         // sleep ages or program state (protocols only see local frames), so
-        // these are emitted once, outside the min-over-maps loop. This is
+        // these are emitted once, not once per candidate map. This is
         // the structural win over the retired Debug-string encoding, which
         // re-emitted every program string for all 2n candidate maps.
         scratch.programs.clear();
@@ -219,11 +238,11 @@ impl SimCheckpoint {
             // (`min_by_key` in the first-mover scheduler and adversary), so
             // the key encodes its dense rank among the agents: plays reaching
             // the same configuration along different activation histories
-            // coincide. Teams are tiny (≤ u8::MAX agents), so the O(k²) scan
-            // beats allocating a rank table.
+            // coincide. Teams are tiny, so the O(k²) scan beats allocating a
+            // rank table.
             let r = self.last_active_round[index];
             let rank = self.last_active_round.iter().filter(|&&other| other < r).count();
-            out.push(u8::try_from(rank).unwrap_or(u8::MAX));
+            out.push(u8::try_from(rank).expect("team size is bounded at entry"));
             let program_end = scratch.program_ends[index] as usize;
             let program_key = &scratch.programs[program_start..program_end];
             let len = u32::try_from(program_key.len()).expect("program key exceeds u32");
@@ -231,35 +250,22 @@ impl SimCheckpoint {
             out.extend_from_slice(program_key);
             program_start = program_end;
         }
-        // Symmetry-variant suffix: lexicographic minimum over the admissible
-        // maps. Candidates are a few bytes (bit-packed visit map + 3 bytes
-        // per agent), so a full emit-and-compare per map is cheaper than any
-        // early-exit bookkeeping.
+        // Symmetry-variant suffix: the smaller of the two images under the
+        // maps carrying the anchor node to node 0 — the rotation by `−anchor`
+        // and the reflection through the anchor. The anchor is the landmark
+        // if there is one, else agent 0's node (see the module docs for why
+        // the minimum is an orbit invariant either way).
+        let anchor = ring
+            .landmark()
+            .unwrap_or_else(|| *self.node.first().expect("a simulation has at least one agent"))
+            .index();
         let variant_at = out.len();
-        let mut first = true;
-        let mut consider = |rot: usize, reflect: bool, out: &mut Vec<u8>| {
-            self.emit_variant(n, rot, reflect, &mut scratch.candidate);
-            if first || scratch.candidate.as_slice() < &out[variant_at..] {
-                out.truncate(variant_at);
-                out.extend_from_slice(&scratch.candidate);
-                first = false;
-            }
-        };
-        match ring.landmark() {
-            Some(landmark) => {
-                // Only maps fixing the landmark (carrying it to node 0) are
-                // admissible: the translation landmark → 0 and the
-                // reflection through the landmark.
-                let l = landmark.index();
-                consider((n - l) % n, false, out);
-                consider(l, true, out);
-            }
-            None => {
-                for rot in 0..n {
-                    consider(rot, false, out);
-                    consider(rot, true, out);
-                }
-            }
+        self.emit_variant(n, (n - anchor) % n, false, &mut scratch.candidate);
+        out.extend_from_slice(&scratch.candidate);
+        self.emit_variant(n, anchor, true, &mut scratch.candidate);
+        if scratch.candidate.as_slice() < &out[variant_at..] {
+            out.truncate(variant_at);
+            out.extend_from_slice(&scratch.candidate);
         }
     }
 
@@ -287,7 +293,7 @@ impl SimCheckpoint {
         for index in 0..self.node.len() {
             let v = self.node[index].index();
             let mapped = if reflect { (rot + n - v) % n } else { (v + rot) % n };
-            buf.extend_from_slice(&u16::try_from(mapped).unwrap_or(u16::MAX).to_le_bytes());
+            buf.extend_from_slice(&u16::try_from(mapped).expect("ring size is bounded at entry").to_le_bytes());
             let port = match self.held_port[index] {
                 None => 0u8,
                 Some(dir) => {
@@ -315,10 +321,11 @@ impl SimCheckpoint {
 
     /// The retired `Debug`-string canonical key, preserved verbatim as the
     /// baseline the `model_check_throughput` bench measures the packed
-    /// encoding against, and as the second encoding of the key-equivalence
-    /// proptests. Induces exactly the same equivalence classes as
-    /// [`SimCheckpoint::canonical_key`] (see the [module docs](self));
-    /// allocates freely.
+    /// encoding against, and as the full-group oracle of the key-equivalence
+    /// proptests: it minimises over all `2n` rotations and reflections, where
+    /// [`SimCheckpoint::canonical_key`] uses only the two anchored maps.
+    /// Induces exactly the same equivalence classes (see the
+    /// [module docs](self)); allocates freely.
     ///
     /// # Panics
     ///
@@ -451,6 +458,116 @@ mod tests {
             );
         }
         builder.build().unwrap()
+    }
+
+    /// Node and edge images under the ring symmetry "rotate by `rot`, then
+    /// reflect `v ↦ −v` if `reflect`". Edge `e` joins nodes `e` and `e + 1`.
+    fn map_node(n: usize, rot: usize, reflect: bool, v: usize) -> usize {
+        let rotated = (v + rot) % n;
+        if reflect { (n - rotated) % n } else { rotated }
+    }
+
+    fn map_edge(n: usize, rot: usize, reflect: bool, e: usize) -> usize {
+        let rotated = (e + rot) % n;
+        if reflect { (2 * n - 1 - rotated) % n } else { rotated }
+    }
+
+    fn mirror(handedness: Handedness) -> Handedness {
+        match handedness {
+            Handedness::LeftIsCcw => Handedness::LeftIsCw,
+            Handedness::LeftIsCw => Handedness::LeftIsCcw,
+        }
+    }
+
+    fn packed_key(sim: &Simulation) -> Vec<u8> {
+        let mut key = Vec::new();
+        sim.checkpoint().canonical_key(sim.ring(), &mut key);
+        key
+    }
+
+    #[test]
+    fn canonical_key_is_invariant_under_every_ring_symmetry() {
+        let n = 7;
+        let ring = RingTopology::new(n).unwrap();
+        let (ccw, cw) = (Handedness::LeftIsCcw, Handedness::LeftIsCw);
+        let colocated = [(2, ccw), (2, cw), (2, ccw)];
+        let spread = [(0, ccw), (2, cw), (5, ccw)];
+        let schedule = [Some(2), None, Some(0), Some(5), None, Some(3), Some(6)];
+        for team in [colocated, spread] {
+            // Keys along one forced-edge play of the team's image under a
+            // symmetry: SSYNC passive transport, so held ports and prior
+            // outcomes vary as well as positions and the visit map.
+            let keys_of_image = |rot: usize, reflect: bool| -> Vec<Vec<u8>> {
+                let mut builder = Simulation::builder(ring.clone())
+                    .synchrony(SynchronyModel::Ssync(TransportModel::PassiveTransport))
+                    .activation(Box::new(RoundRobinSingle::new()))
+                    .edges(Box::new(NoRemoval));
+                for (start, handedness) in team {
+                    builder = builder.agent(
+                        NodeId::new(map_node(n, rot, reflect, start)),
+                        if reflect { mirror(handedness) } else { handedness },
+                        Box::new(KnownBound::new(n)),
+                    );
+                }
+                let mut sim = builder.build().unwrap();
+                let mut keys = vec![packed_key(&sim)];
+                for edge in schedule {
+                    sim.step_with_edge(edge.map(|e| EdgeId::new(map_edge(n, rot, reflect, e))));
+                    keys.push(packed_key(&sim));
+                }
+                keys
+            };
+            let base = keys_of_image(0, false);
+            for rot in 0..n {
+                for reflect in [false, true] {
+                    assert_eq!(keys_of_image(rot, reflect), base, "team {team:?}, rot {rot}, reflect {reflect}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_and_debug_keys_agree_on_hand_built_pairs() {
+        let n = 8;
+        let ring = RingTopology::new(n).unwrap();
+        let (ccw, cw) = (Handedness::LeftIsCcw, Handedness::LeftIsCw);
+        type Team<'a> = &'a [(usize, Handedness)];
+        let pairs: [(Team<'_>, Team<'_>, bool); 5] = [
+            // A rotation by 5.
+            (&[(0, ccw), (3, cw)], &[(5, ccw), (0, cw)], true),
+            // The reflection v ↦ −v: mirrored positions and handedness.
+            (&[(1, ccw), (4, cw)], &[(7, cw), (4, ccw)], true),
+            // A team on the reflection axis: mirrored handedness alone is
+            // the reflection.
+            (&[(0, ccw), (0, ccw), (0, cw)], &[(0, cw), (0, cw), (0, ccw)], true),
+            // Mirrored handedness without mirrored positions.
+            (&[(1, ccw), (4, cw)], &[(1, cw), (4, ccw)], false),
+            (&[(0, ccw), (2, ccw)], &[(0, ccw), (3, ccw)], false),
+        ];
+        for (a, b, symmetric) in pairs {
+            let (sim_a, sim_b) = (known_bound_sim(ring.clone(), a, n), known_bound_sim(ring.clone(), b, n));
+            let (mut debug_a, mut debug_b) = (Vec::new(), Vec::new());
+            sim_a.checkpoint().canonical_key_debug(&ring, &mut debug_a);
+            sim_b.checkpoint().canonical_key_debug(&ring, &mut debug_b);
+            assert_eq!(packed_key(&sim_a) == packed_key(&sim_b), symmetric, "packed key on {a:?} vs {b:?}");
+            assert_eq!(debug_a == debug_b, symmetric, "debug key on {a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 nodes")]
+    fn canonical_key_rejects_rings_too_large_for_u16_nodes() {
+        let n = 65_537;
+        let sim = known_bound_sim(RingTopology::new(n).unwrap(), &[(0, Handedness::LeftIsCcw)], n);
+        packed_key(&sim);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 agents")]
+    fn canonical_key_rejects_teams_too_large_for_u8_ranks() {
+        let n = 8;
+        let sim = known_bound_sim(RingTopology::new(n).unwrap(), &[(0, Handedness::LeftIsCcw); 257], n);
+        packed_key(&sim);
     }
 
     #[test]

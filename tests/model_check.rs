@@ -110,13 +110,15 @@ fn parallel_search_is_bit_identical_to_sequential() {
     }
 }
 
-/// Tentpole: dedup on the legacy `Debug`-string key and on the packed binary
-/// key must agree on every verdict and every witness — both encodings are
-/// injective per candidate mapping, so the lexicographic minimum lands on the
-/// same orbit representative and the searches prune identically.
+/// Dedup on the legacy `Debug`-string key and on the packed binary key must
+/// agree on every verdict and every witness — both encodings are injective
+/// per candidate mapping and both minimise over an orbit-invariant map family
+/// (all `2n` symmetries for the Debug key, the two maps carrying agent 0 to
+/// node 0 for the packed key), so the searches prune identically. n = 5 and
+/// 6 include the co-located three-agent `MC-T3-R4` team.
 #[test]
 fn debug_key_search_agrees_with_packed_key_search() {
-    for n in 4..=5 {
+    for n in 4..=6 {
         for cell in model_check::infeasibility_cells(n) {
             let packed = cell.check.run_with_threads(1);
             let mut debug_check = cell.check.clone();
@@ -139,6 +141,69 @@ fn debug_key_search_agrees_with_packed_key_search() {
             }
         }
     }
+}
+
+/// The search counters `(expanded, visited, peak_frontier, depth_reached)` of
+/// every packaged cell for n = 4..=7, then of the Theorem 4 cell for n = 5..=7,
+/// pinned exactly: a change to the canonical key or the frontier that alters
+/// which states are deduplicated shows up here as a counter diff, even when
+/// every verdict survives.
+#[test]
+fn search_stats_are_pinned_for_every_small_cell() {
+    const PINNED: [(&str, u64, u64, usize, u64); 38] = [
+        ("MC-T1-R1(n=4)", 46, 13, 5, 4),
+        ("MC-T1-R2(n=4)", 16, 3, 1, 4),
+        ("MC-T1-R3(n=4)", 22270, 7908, 2092, 10),
+        ("MC-T3-R1a(n=4)", 400, 80, 1, 80),
+        ("MC-T3-R1b(n=4)", 400, 80, 1, 80),
+        ("MC-T3-R1c(n=4)", 400, 80, 1, 80),
+        ("MC-T3-R2(n=4)", 1205, 248, 10, 32),
+        ("MC-T3-R3(n=4)", 2335, 742, 176, 8),
+        ("MC-T1-R1(n=5)", 79, 29, 17, 4),
+        ("MC-T1-R2(n=5)", 67, 18, 8, 4),
+        ("MC-T1-R3(n=5)", 49848, 14052, 3675, 11),
+        ("MC-T3-R1a(n=5)", 600, 100, 1, 100),
+        ("MC-T3-R1b(n=5)", 600, 100, 1, 100),
+        ("MC-T3-R1c(n=5)", 600, 100, 1, 100),
+        ("MC-T3-R2(n=5)", 4182, 715, 23, 40),
+        ("MC-T3-R3(n=5)", 7356, 1925, 471, 9),
+        ("MC-T3-R4(n=5)", 568, 191, 91, 7),
+        ("MC-T1-R1(n=6)", 92, 38, 26, 4),
+        ("MC-T1-R2(n=6)", 141, 45, 26, 4),
+        ("MC-T1-R3(n=6)", 102158, 23619, 6035, 12),
+        ("MC-T3-R1a(n=6)", 840, 120, 1, 120),
+        ("MC-T3-R1b(n=6)", 840, 120, 1, 120),
+        ("MC-T3-R1c(n=6)", 840, 120, 1, 120),
+        ("MC-T3-R2(n=6)", 11291, 1649, 45, 48),
+        ("MC-T3-R3(n=6)", 17626, 3967, 1010, 10),
+        ("MC-T3-R4(n=6)", 7054, 1805, 798, 10),
+        ("MC-T1-R1(n=7)", 105, 39, 27, 4),
+        ("MC-T1-R2(n=7)", 161, 71, 52, 4),
+        ("MC-T1-R3(n=7)", 191736, 33627, 9183, 13),
+        ("MC-T3-R1a(n=7)", 1120, 140, 1, 140),
+        ("MC-T3-R1b(n=7)", 1120, 140, 1, 140),
+        ("MC-T3-R1c(n=7)", 1120, 140, 1, 140),
+        ("MC-T3-R2(n=7)", 26640, 3395, 78, 56),
+        ("MC-T3-R3(n=7)", 39344, 7828, 1988, 11),
+        ("MC-T3-R4(n=7)", 71918, 14645, 5818, 13),
+        ("theorem4(n=5)", 480, 79, 20, 9),
+        ("theorem4(n=6)", 2170, 309, 66, 12),
+        ("theorem4(n=7)", 7664, 957, 170, 15),
+    ];
+    let mut actual = Vec::new();
+    for n in 4..=7 {
+        for cell in model_check::infeasibility_cells(n) {
+            actual.push((cell.id.clone(), *cell.check.run_with_threads(1).stats()));
+        }
+    }
+    for n in 5..=7 {
+        actual.push((format!("theorem4(n={n})"), *model_check::theorem4_cell(n).run_with_threads(1).stats()));
+    }
+    let actual: Vec<(&str, u64, u64, usize, u64)> = actual
+        .iter()
+        .map(|(id, s)| (id.as_str(), s.expanded, s.visited, s.peak_frontier, s.depth_reached))
+        .collect();
+    assert_eq!(actual, PINNED);
 }
 
 /// The scenario cell a catalogue algorithm is checked in: the algorithm's
