@@ -12,7 +12,7 @@
 //! ```
 
 use dynring_bench::throughput::{
-    case_json_line, case_rates, dispatch_comparisons, extract_section, fast_mode, filter_cases,
+    case_json_line, case_rates, extract_section, fast_mode, filter_cases,
     hard_gate, measure, measurement_budget, out_path, parse_baseline, regressions, standard_cases,
     write_document, ThroughputSample,
 };
@@ -40,21 +40,16 @@ fn main() {
         samples.push(sample);
     }
 
-    let comparisons = dispatch_comparisons(&samples);
-    if !comparisons.is_empty() {
-        println!();
-        for line in &comparisons {
-            println!("{line}");
-        }
-    }
-
     let path = out_path();
     // Diff against the previous committed baseline before overwriting it,
     // and carry its runs/sec and states/sec sections (owned by
     // `sweep_throughput` and `model_check_throughput`) over verbatim — each
     // bench target only refreshes its own rows.
     let previous_document = std::fs::read_to_string(&path).unwrap_or_default();
-    let previous = parse_baseline(&previous_document);
+    let previous = parse_baseline(&previous_document).unwrap_or_else(|err| {
+        eprintln!("bench gate: {} is corrupt: {err}", path.display());
+        std::process::exit(1)
+    });
     let sweep_lines = extract_section(&previous_document, "sweep_cases");
     let mc_lines = extract_section(&previous_document, "model_check_cases");
     let case_lines: Vec<String> = samples.iter().map(case_json_line).collect();

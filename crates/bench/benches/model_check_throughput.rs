@@ -217,7 +217,10 @@ fn main() {
     // sections owned by `engine_throughput` and `sweep_throughput` verbatim,
     // and diff against the previous baseline.
     let previous_document = std::fs::read_to_string(&path).unwrap_or_default();
-    let previous = parse_baseline(&previous_document);
+    let previous = parse_baseline(&previous_document).unwrap_or_else(|err| {
+        eprintln!("bench gate: {} is corrupt: {err}", path.display());
+        std::process::exit(1)
+    });
     let case_lines = extract_section(&previous_document, "cases");
     let sweep_lines = extract_section(&previous_document, "sweep_cases");
     let mc_lines: Vec<String> = samples.iter().map(model_check_json_line).collect();

@@ -159,7 +159,10 @@ fn main() {
     // sections owned by `engine_throughput` and `model_check_throughput`
     // verbatim, and diff against the previous baseline.
     let previous_document = std::fs::read_to_string(&path).unwrap_or_default();
-    let previous = parse_baseline(&previous_document);
+    let previous = parse_baseline(&previous_document).unwrap_or_else(|err| {
+        eprintln!("bench gate: {} is corrupt: {err}", path.display());
+        std::process::exit(1)
+    });
     let case_lines = extract_section(&previous_document, "cases");
     let mc_lines = extract_section(&previous_document, "model_check_cases");
     let sweep_lines: Vec<String> = samples.iter().map(sweep_json_line).collect();

@@ -34,9 +34,7 @@
 //!   the warn-only annotation history exists).
 
 use dynring_analysis::batch::batch_lanes_from_env;
-use dynring_analysis::scenario::{
-    AdversaryKind, DispatchKind, Scenario, ScenarioBatchRunner, ScenarioRunner,
-};
+use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner, ScenarioRunner};
 use dynring_core::Algorithm;
 use dynring_engine::sim::{RunReport, StopCondition};
 use std::io::Write as _;
@@ -70,9 +68,8 @@ impl SynchronyCase {
 /// One configuration of the throughput grid.
 #[derive(Debug, Clone)]
 pub struct ThroughputCase {
-    /// Stable identifier, e.g. `fsync/n=1024/trace=off/dispatch=enum`
-    /// (prediction-on cases insert `/pred=on`; the trace=on rows measure
-    /// trace overhead, not dispatch, and carry no dispatch segment).
+    /// Stable identifier, e.g. `fsync/n=1024/trace=off` (prediction-on
+    /// cases append `/pred=on`).
     pub id: String,
     /// Synchrony family.
     pub synchrony: SynchronyCase,
@@ -84,10 +81,6 @@ pub struct ThroughputCase {
     /// is installed, forcing the engine to predict every agent's decision
     /// each round.
     pub predictions: bool,
-    /// How the agents dispatch Compute: the statically dispatched catalogue
-    /// enum (the engine's default) or the virtual `Box<dyn Protocol>` escape
-    /// hatch.
-    pub dispatch: DispatchKind,
 }
 
 /// A measured case.
@@ -107,58 +100,35 @@ pub struct ThroughputSample {
 /// [`THROUGHPUT_SIZES`], trace recording off and on, plus the
 /// prediction-on family (omniscient `PreventMeeting` adversary installed,
 /// trace off) for both synchrony families.
-///
-/// Every trace-off configuration is measured **twice** — once per dispatch
-/// representation (`…/dispatch=enum` for the statically dispatched catalogue
-/// runtime, `…/dispatch=dyn` for the boxed escape hatch) — so the cost of
-/// virtual Compute dispatch stays visible PR over PR. The trace-on rows
-/// measure trace recording, which dwarfs dispatch, and run the engine
-/// default (enum) without a dispatch segment.
 #[must_use]
 pub fn standard_cases() -> Vec<ThroughputCase> {
     let mut cases = Vec::new();
     for synchrony in [SynchronyCase::Fsync, SynchronyCase::SsyncPt] {
         for &n in THROUGHPUT_SIZES {
-            for dispatch in [DispatchKind::Enum, DispatchKind::Dyn] {
+            for trace in [false, true] {
                 cases.push(ThroughputCase {
                     id: format!(
-                        "{}/n={n}/trace=off/dispatch={}",
+                        "{}/n={n}/trace={}",
                         synchrony.label(),
-                        dispatch.label()
+                        if trace { "on" } else { "off" }
                     ),
                     synchrony,
                     ring_size: n,
-                    trace: false,
+                    trace,
                     predictions: false,
-                    dispatch,
                 });
             }
-            cases.push(ThroughputCase {
-                id: format!("{}/n={n}/trace=on", synchrony.label()),
-                synchrony,
-                ring_size: n,
-                trace: true,
-                predictions: false,
-                dispatch: DispatchKind::Enum,
-            });
         }
     }
     for synchrony in [SynchronyCase::Fsync, SynchronyCase::SsyncPt] {
         for &n in THROUGHPUT_SIZES {
-            for dispatch in [DispatchKind::Enum, DispatchKind::Dyn] {
-                cases.push(ThroughputCase {
-                    id: format!(
-                        "{}/n={n}/trace=off/pred=on/dispatch={}",
-                        synchrony.label(),
-                        dispatch.label()
-                    ),
-                    synchrony,
-                    ring_size: n,
-                    trace: false,
-                    predictions: true,
-                    dispatch,
-                });
-            }
+            cases.push(ThroughputCase {
+                id: format!("{}/n={n}/trace=off/pred=on", synchrony.label()),
+                synchrony,
+                ring_size: n,
+                trace: false,
+                predictions: true,
+            });
         }
     }
     cases
@@ -184,7 +154,6 @@ pub fn case_scenario(case: &ThroughputCase) -> Scenario {
     if case.predictions {
         scenario = scenario.with_adversary(AdversaryKind::PreventMeeting);
     }
-    scenario = scenario.with_dispatch(case.dispatch);
     scenario.stop = StopCondition::RoundBudget;
     if case.trace {
         scenario = scenario.with_trace();
@@ -640,14 +609,13 @@ fn json_escape(s: &str) -> String {
 pub fn case_json_line(s: &ThroughputSample) -> String {
     format!(
         "{{\"id\": \"{}\", \"synchrony\": \"{}\", \"ring_size\": {}, \"trace\": {}, \
-         \"predictions\": {}, \"dispatch\": \"{}\", \"rounds\": {}, \"elapsed_ns\": {}, \
+         \"predictions\": {}, \"rounds\": {}, \"elapsed_ns\": {}, \
          \"rounds_per_sec\": {:.1}}}",
         json_escape(&s.case.id),
         json_escape(s.case.synchrony.label()),
         s.case.ring_size,
         s.case.trace,
         s.case.predictions,
-        s.case.dispatch.label(),
         s.rounds,
         s.elapsed_ns,
         s.rounds_per_sec,
@@ -807,6 +775,30 @@ pub fn write_document(
     file.write_all(render_document(case_lines, sweep_lines, model_check_lines).as_bytes())
 }
 
+/// A baseline row whose rate is not a finite, positive number (e.g. `NaN`,
+/// `inf`, `0`, a negative or an unparsable value). [`regressions`] cannot
+/// compare against such a row, so accepting it would silently drop its case
+/// from the gate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BaselineError {
+    /// Id of the offending row.
+    pub id: String,
+    /// The rate exactly as written in the baseline.
+    pub rate: String,
+}
+
+impl std::fmt::Display for BaselineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "baseline row `{}` has rate `{}`; rates must be finite and positive",
+            self.id, self.rate
+        )
+    }
+}
+
+impl std::error::Error for BaselineError {}
+
 /// Parses a previous `BENCH_engine.json` into `(id, rate)` pairs, where the
 /// rate is `rounds_per_sec` for `cases` rows, `runs_per_sec` for
 /// `sweep_cases` rows and `states_per_sec` for `model_check_cases` rows
@@ -815,28 +807,36 @@ pub fn write_document(
 ///
 /// The document is emitted with exactly one row object per line, so a
 /// line-oriented scan is exact for our own files (the vendored `serde_json`
-/// stub cannot parse real JSON). Unrecognisable lines are skipped, so a
-/// hand-edited or truncated baseline degrades to a partial diff instead of
-/// an error.
-#[must_use]
-pub fn parse_baseline(json: &str) -> Vec<(String, f64)> {
+/// stub cannot parse real JSON). Lines without an id and a rate field
+/// (headers, brackets) are skipped.
+///
+/// # Errors
+///
+/// A row whose rate is not a finite, positive number is a
+/// [`BaselineError`] naming the row.
+pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, BaselineError> {
     fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         let start = line.find(key)? + key.len();
         let rest = &line[start..];
         let end = rest.find([',', '}']).unwrap_or(rest.len());
         Some(rest[..end].trim())
     }
-    json.lines()
-        .filter_map(|line| {
-            let id = field(line, "\"id\": \"")?.trim_end_matches('"').to_owned();
-            let rate = field(line, "\"rounds_per_sec\": ")
-                .or_else(|| field(line, "\"runs_per_sec\": "))
-                .or_else(|| field(line, "\"states_per_sec\": "))?
-                .parse::<f64>()
-                .ok()?;
-            Some((id, rate))
-        })
-        .collect()
+    let mut rows = Vec::new();
+    for line in json.lines() {
+        let Some(id) = field(line, "\"id\": \"") else { continue };
+        let Some(rate) = field(line, "\"rounds_per_sec\": ")
+            .or_else(|| field(line, "\"runs_per_sec\": "))
+            .or_else(|| field(line, "\"states_per_sec\": "))
+        else {
+            continue;
+        };
+        let id = id.trim_end_matches('"').to_owned();
+        match rate.parse::<f64>() {
+            Ok(value) if value.is_finite() && value > 0.0 => rows.push((id, value)),
+            _ => return Err(BaselineError { id, rate: rate.to_owned() }),
+        }
+    }
+    Ok(rows)
 }
 
 /// The `(id, rounds_per_sec)` pairs of freshly measured rounds/sec samples
@@ -885,33 +885,6 @@ pub fn regressions(
         .collect()
 }
 
-/// Pairs every `dispatch=dyn` sample with its `dispatch=enum` sibling and
-/// returns one comparison line per pair (`enum/dyn` throughput ratio). The
-/// bench target prints these so the cost of virtual Compute dispatch is
-/// visible in every run's output.
-#[must_use]
-pub fn dispatch_comparisons(samples: &[ThroughputSample]) -> Vec<String> {
-    samples
-        .iter()
-        .filter(|s| s.case.dispatch == DispatchKind::Dyn)
-        .filter_map(|dyn_sample| {
-            let enum_id = dyn_sample.case.id.replace("/dispatch=dyn", "/dispatch=enum");
-            let enum_sample = samples.iter().find(|s| s.case.id == enum_id)?;
-            if dyn_sample.rounds_per_sec <= 0.0 {
-                return None;
-            }
-            let ratio = enum_sample.rounds_per_sec / dyn_sample.rounds_per_sec;
-            Some(format!(
-                "DISPATCH {}: enum {:.2}M vs dyn {:.2}M rounds/sec ({:.2}x)",
-                dyn_sample.case.id.replace("/dispatch=dyn", ""),
-                enum_sample.rounds_per_sec / 1e6,
-                dyn_sample.rounds_per_sec / 1e6,
-                ratio
-            ))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,20 +896,14 @@ mod tests {
             ring_size: 8,
             trace: false,
             predictions,
-            dispatch: if id.contains("/dispatch=dyn") {
-                DispatchKind::Dyn
-            } else {
-                DispatchKind::Enum
-            },
         }
     }
 
     #[test]
     fn standard_grid_covers_both_synchrony_families_and_trace_modes() {
         let cases = standard_cases();
-        // Per family per size: trace=off × {enum, dyn} + trace=on, plus
-        // prediction-on × {enum, dyn}.
-        assert_eq!(cases.len(), 2 * THROUGHPUT_SIZES.len() * 5);
+        // Per family per size: trace=off, trace=on and prediction-on.
+        assert_eq!(cases.len(), 2 * THROUGHPUT_SIZES.len() * 3);
         assert!(cases.iter().any(|c| c.synchrony == SynchronyCase::Fsync && !c.trace));
         assert!(cases.iter().any(|c| c.synchrony == SynchronyCase::SsyncPt && c.trace));
         assert!(cases
@@ -946,43 +913,10 @@ mod tests {
             .iter()
             .any(|c| c.synchrony == SynchronyCase::SsyncPt && c.predictions));
         assert!(cases.iter().all(|c| c.predictions == c.id.contains("/pred=on")));
-        // Every trace-off configuration appears under both dispatch
-        // representations; trace-on rows run the engine default.
-        assert!(cases
-            .iter()
-            .all(|c| c.trace || c.id.contains("/dispatch=")));
-        assert!(cases.iter().all(|c| {
-            (c.dispatch == DispatchKind::Dyn) == c.id.ends_with("/dispatch=dyn")
-        }));
-        for dyn_case in cases.iter().filter(|c| c.dispatch == DispatchKind::Dyn) {
-            let sibling = dyn_case.id.replace("/dispatch=dyn", "/dispatch=enum");
-            assert!(
-                cases.iter().any(|c| c.id == sibling),
-                "{} has no enum sibling",
-                dyn_case.id
-            );
-        }
+        assert!(cases.iter().all(|c| c.trace == c.id.contains("/trace=on")));
         let ids: std::collections::HashSet<&str> =
             cases.iter().map(|c| c.id.as_str()).collect();
         assert_eq!(ids.len(), cases.len(), "case ids must be unique");
-    }
-
-    #[test]
-    fn dispatch_comparisons_pair_enum_with_dyn_rows() {
-        let mk = |id: &str, rps: f64| ThroughputSample {
-            case: case(id, false),
-            rounds: 100,
-            elapsed_ns: 100,
-            rounds_per_sec: rps,
-        };
-        let lines = dispatch_comparisons(&[
-            mk("fsync/n=8/trace=off/dispatch=enum", 4_000_000.0),
-            mk("fsync/n=8/trace=off/dispatch=dyn", 2_000_000.0),
-            mk("fsync/n=8/trace=on", 1_000_000.0),
-        ]);
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("fsync/n=8/trace=off"), "{}", lines[0]);
-        assert!(lines[0].contains("(2.00x)"), "{}", lines[0]);
     }
 
     #[test]
@@ -1056,7 +990,6 @@ mod tests {
         assert!(json.contains("\"rounds_per_sec\": 123.5"));
         assert!(json.contains("\"trace\": false"));
         assert!(json.contains("\"predictions\": false"));
-        assert!(json.contains("\"dispatch\": \"enum\""));
         assert!(json.contains("\"sweep_cases\": ["));
         assert!(json.contains("\"lifecycle\": \"recycled\""));
         assert!(json.contains("\"budget_rounds\": 256"));
@@ -1110,7 +1043,8 @@ mod tests {
         ))];
         let mc_lines =
             vec![model_check_json_line(&mc_sample("mc/t3r2/n=7/key=packed/threads=1", 3e6))];
-        let parsed = parse_baseline(&render_document(&case_lines, &sweep_lines, &mc_lines));
+        let parsed =
+            parse_baseline(&render_document(&case_lines, &sweep_lines, &mc_lines)).unwrap();
         assert_eq!(
             parsed,
             vec![
@@ -1122,7 +1056,43 @@ mod tests {
                 ("mc/t3r2/n=7/key=packed/threads=1".to_owned(), 3_000_000.0),
             ]
         );
-        assert!(parse_baseline("not json at all").is_empty());
+        assert!(parse_baseline("not json at all").unwrap().is_empty());
+    }
+
+    #[test]
+    fn baseline_rows_with_non_positive_or_non_finite_rates_are_refused() {
+        for (key, rate) in [
+            ("rounds_per_sec", "NaN"),
+            ("runs_per_sec", "inf"),
+            ("states_per_sec", "0"),
+            ("rounds_per_sec", "-1"),
+            ("rounds_per_sec", "fast"),
+        ] {
+            let json = format!(
+                "{{\n  \"cases\": [\n    {{\"id\": \"good\", \"rounds_per_sec\": 5.0}},\n    \
+                 {{\"id\": \"bad\", \"{key}\": {rate}}}\n  ]\n}}\n"
+            );
+            let err = parse_baseline(&json).unwrap_err();
+            assert_eq!(err, BaselineError { id: "bad".into(), rate: rate.into() });
+            assert!(err.to_string().contains("`bad`"), "{err}");
+        }
+    }
+
+    #[test]
+    fn committed_baseline_has_a_row_for_every_gated_case() {
+        // `regressions` ignores fresh ids missing from the baseline, so a
+        // case without a committed row would silently escape the gate.
+        let committed = parse_baseline(include_str!("../../../BENCH_engine.json"))
+            .expect("committed BENCH_engine.json parses");
+        let ids: std::collections::HashSet<&str> =
+            committed.iter().map(|(id, _)| id.as_str()).collect();
+        let gated = standard_cases()
+            .into_iter()
+            .map(|c| c.id)
+            .chain(sweep_cases().into_iter().map(|c| c.id));
+        for id in gated {
+            assert!(ids.contains(id.as_str()), "no committed baseline row for `{id}`");
+        }
     }
 
     #[test]

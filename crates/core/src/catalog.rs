@@ -1,41 +1,12 @@
-//! A registry of every algorithm in the paper, and the enum-dispatched
-//! protocol runtime built on top of it.
+//! A registry of every algorithm in the paper.
 //!
 //! The analysis and benchmark crates enumerate this catalogue to build the
 //! feasibility map (Tables 1–4); examples use it to construct agents by name.
-//!
-//! # Two ways to instantiate an algorithm
-//!
-//! The catalogue of *Live Exploration of Dynamic Rings* is **closed and
-//! small** — nine concrete protocol state machines cover all twelve
-//! feasibility-map rows — which the runtime exploits by offering two
-//! instantiation paths:
-//!
-//! * [`Algorithm::instantiate_enum`] returns a [`CatalogProtocol`], a
-//!   nine-variant enum wrapping the concrete protocol types. Dispatching
-//!   `decide` through it is a **static `match`** the compiler can inline, so
-//!   a homogeneous team of catalogue agents (the common case in every sweep)
-//!   pays **zero virtual calls** per Look–Compute cycle, and the engine's
-//!   probe pool can refresh prediction probes with a plain variant-matching
-//!   [`Clone::clone_from`] instead of an `as_any` downcast.
-//! * [`Algorithm::instantiate`] returns the classic `Box<dyn Protocol>` —
-//!   the **extension escape hatch** that also accepts user-defined protocols
-//!   the catalogue has never heard of. The engine runs both representations
-//!   side by side in one team (see the example below).
-//!
-//! The two paths are observably identical — `tests/dispatch_equivalence.rs`
-//! pins identical run reports and trace digests for every catalogue
-//! algorithm under FSYNC and SSYNC, with and without decision predictions —
-//! so choosing between them is purely a performance decision. See
-//! `docs/ARCHITECTURE.md` (“The dispatch story”) for the full design.
 
 use crate::fsync::{KnownBound, LandmarkChirality, LandmarkNoChirality, Unconscious};
 use crate::single::LoneWalker;
 use crate::ssync::{EtUnconscious, PtBoundChirality, PtLandmarkChirality, PtNoChirality};
-use dynring_model::{
-    Decision, Protocol, ScenarioAssumptions, Snapshot, SynchronyModel, TerminationKind,
-    TransportModel,
-};
+use dynring_model::{Protocol, ScenarioAssumptions, SynchronyModel, TerminationKind, TransportModel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -107,13 +78,55 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Instantiates a fresh agent running this algorithm behind the classic
-    /// type-erased `Box<dyn Protocol>` (the `dyn`-dispatch path).
+    /// Instantiates a fresh agent running this algorithm.
     ///
-    /// Prefer [`Algorithm::instantiate_enum`] for catalogue teams: the
-    /// returned [`CatalogProtocol`] dispatches `decide` through a static
-    /// `match` instead of a vtable. This boxed form remains the extension
-    /// escape hatch shared with user-defined protocols.
+    /// The twelve algorithm entries map onto nine concrete protocol types:
+    /// `StartFromLandmarkNoChirality` is a parameterisation of
+    /// [`LandmarkNoChirality`], and the three `Pt…NoChirality` /
+    /// `EtBoundNoChirality` entries are parameterisations of
+    /// [`PtNoChirality`].
+    ///
+    /// The result is a `Box<dyn Protocol>`, the engine's one agent-program
+    /// representation, so catalogue agents and user-defined protocols share
+    /// a team on equal terms:
+    ///
+    /// ```
+    /// use dynring_core::Algorithm;
+    /// use dynring_engine::adversary::RandomEdge;
+    /// use dynring_engine::scheduler::FullActivation;
+    /// use dynring_engine::sim::{Simulation, StopCondition};
+    /// use dynring_graph::{Handedness, NodeId, RingTopology};
+    /// use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
+    ///
+    /// // A user-defined protocol the catalogue has never heard of: it walks
+    /// // right forever (it cannot explore alone, but it can tag along).
+    /// #[derive(Debug, Clone)]
+    /// struct RightWalker;
+    ///
+    /// impl Protocol for RightWalker {
+    ///     fn name(&self) -> &'static str { "right-walker" }
+    ///     fn termination_kind(&self) -> TerminationKind { TerminationKind::Unconscious }
+    ///     fn decide(&mut self, _snapshot: &Snapshot) -> Decision {
+    ///         Decision::Move(LocalDirection::Right)
+    ///     }
+    ///     fn has_terminated(&self) -> bool { false }
+    ///     fn clone_box(&self) -> Box<dyn Protocol> { Box::new(self.clone()) }
+    /// }
+    ///
+    /// // Two catalogue agents plus the custom protocol, all in one simulation.
+    /// let alg = Algorithm::KnownBound { upper_bound: 8 };
+    /// let ring = RingTopology::new(8)?;
+    /// let mut sim = Simulation::builder(ring)
+    ///     .agent(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate())
+    ///     .agent(NodeId::new(4), Handedness::LeftIsCcw, alg.instantiate())
+    ///     .agent(NodeId::new(2), Handedness::LeftIsCcw, Box::new(RightWalker))
+    ///     .activation(Box::new(FullActivation))
+    ///     .edges(Box::new(RandomEdge::new(0.5, 7)))
+    ///     .build()?;
+    /// let report = sim.run(200, StopCondition::Explored);
+    /// assert!(report.explored());
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     #[must_use]
     pub fn instantiate(&self) -> Box<dyn Protocol> {
         match *self {
@@ -137,52 +150,6 @@ impl Algorithm {
             }
             Algorithm::EtUnconscious => Box::new(EtUnconscious::new()),
             Algorithm::LoneWalker { patience } => Box::new(LoneWalker::new(patience)),
-        }
-    }
-
-    /// Instantiates a fresh agent running this algorithm as a
-    /// [`CatalogProtocol`] (the enum-dispatch fast path).
-    ///
-    /// The twelve algorithm entries map onto the nine concrete protocol
-    /// types: `StartFromLandmarkNoChirality` is a parameterisation of
-    /// [`LandmarkNoChirality`], and the three `Pt…NoChirality` /
-    /// `EtBoundNoChirality` entries are parameterisations of
-    /// [`PtNoChirality`].
-    #[must_use]
-    pub fn instantiate_enum(&self) -> CatalogProtocol {
-        match *self {
-            Algorithm::KnownBound { upper_bound } => {
-                CatalogProtocol::KnownBound(KnownBound::new(upper_bound))
-            }
-            Algorithm::Unconscious => CatalogProtocol::Unconscious(Unconscious::new()),
-            Algorithm::LandmarkChirality => {
-                CatalogProtocol::LandmarkChirality(LandmarkChirality::new())
-            }
-            Algorithm::LandmarkNoChirality => {
-                CatalogProtocol::LandmarkNoChirality(LandmarkNoChirality::new())
-            }
-            Algorithm::StartFromLandmarkNoChirality => {
-                CatalogProtocol::LandmarkNoChirality(LandmarkNoChirality::starting_from_landmark())
-            }
-            Algorithm::PtBoundChirality { upper_bound } => {
-                CatalogProtocol::PtBoundChirality(PtBoundChirality::new(upper_bound))
-            }
-            Algorithm::PtLandmarkChirality => {
-                CatalogProtocol::PtLandmarkChirality(PtLandmarkChirality::new())
-            }
-            Algorithm::PtBoundNoChirality { upper_bound } => {
-                CatalogProtocol::PtNoChirality(PtNoChirality::with_upper_bound(upper_bound))
-            }
-            Algorithm::PtLandmarkNoChirality => {
-                CatalogProtocol::PtNoChirality(PtNoChirality::with_landmark())
-            }
-            Algorithm::EtBoundNoChirality { ring_size } => {
-                CatalogProtocol::PtNoChirality(PtNoChirality::for_eventual_transport(ring_size))
-            }
-            Algorithm::EtUnconscious => CatalogProtocol::EtUnconscious(EtUnconscious::new()),
-            Algorithm::LoneWalker { patience } => {
-                CatalogProtocol::LoneWalker(LoneWalker::new(patience))
-            }
         }
     }
 
@@ -246,7 +213,7 @@ impl Algorithm {
     /// The termination discipline the algorithm promises.
     #[must_use]
     pub fn termination_kind(&self) -> TerminationKind {
-        self.instantiate_enum().termination_kind()
+        self.instantiate().termination_kind()
     }
 
     /// The synchrony / transport model under which the algorithm's guarantee
@@ -305,228 +272,7 @@ impl Algorithm {
 
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.instantiate_enum().name())
-    }
-}
-
-/// Every concrete protocol state machine of the paper behind one **statically
-/// dispatched** enum — the fast path of the engine's agent runtime.
-///
-/// Each `decide` call resolves by a `match` on the discriminant and a direct
-/// (inlinable) call into the wrapped state machine, so a homogeneous team of
-/// catalogue agents runs its whole Look–Compute cycle without a single
-/// virtual call. The enum also carries a variant-matching
-/// [`Clone::clone_from`], which is what lets the engine's probe pool refresh
-/// a prediction probe in place without the `as_any` downcast the boxed path
-/// needs.
-///
-/// The nine variants cover the paper's algorithm catalogue as mapped out in
-/// [`Algorithm::instantiate_enum`]; `Box<dyn Protocol>` (via
-/// [`Algorithm::instantiate`] or any user-defined type) remains the
-/// extension escape hatch, and both representations can share one team:
-///
-/// ```
-/// use dynring_core::{Algorithm, CatalogProtocol};
-/// use dynring_engine::adversary::RandomEdge;
-/// use dynring_engine::scheduler::FullActivation;
-/// use dynring_engine::sim::{Simulation, StopCondition};
-/// use dynring_graph::{Handedness, NodeId, RingTopology};
-/// use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
-///
-/// // A user-defined protocol the catalogue has never heard of: it walks
-/// // right forever (it cannot explore alone, but it can tag along).
-/// #[derive(Debug, Clone)]
-/// struct RightWalker;
-///
-/// impl Protocol for RightWalker {
-///     fn name(&self) -> &'static str { "right-walker" }
-///     fn termination_kind(&self) -> TerminationKind { TerminationKind::Unconscious }
-///     fn decide(&mut self, _snapshot: &Snapshot) -> Decision {
-///         Decision::Move(LocalDirection::Right)
-///     }
-///     fn has_terminated(&self) -> bool { false }
-///     fn clone_box(&self) -> Box<dyn Protocol> { Box::new(self.clone()) }
-/// }
-///
-/// // Two catalogue agents on the enum fast path (zero virtual calls in
-/// // their Compute dispatch) plus the custom protocol through the boxed
-/// // escape hatch, all in one simulation.
-/// let alg = Algorithm::KnownBound { upper_bound: 8 };
-/// let ring = RingTopology::new(8)?;
-/// let mut sim = Simulation::builder(ring)
-///     .agent_program(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate_enum())
-///     .agent_program(NodeId::new(4), Handedness::LeftIsCcw, alg.instantiate_enum())
-///     .agent(NodeId::new(2), Handedness::LeftIsCcw, Box::new(RightWalker))
-///     .activation(Box::new(FullActivation))
-///     .edges(Box::new(RandomEdge::new(0.5, 7)))
-///     .build()?;
-/// let report = sim.run(200, StopCondition::Explored);
-/// assert!(report.explored());
-///
-/// // The enum is itself a `Protocol`, so it can cross the boxed boundary
-/// // too when type erasure is genuinely needed.
-/// let boxed: Box<dyn Protocol> = Box::new(alg.instantiate_enum());
-/// assert_eq!(boxed.name(), CatalogProtocol::KnownBound(
-///     dynring_core::fsync::KnownBound::new(8)).name());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub enum CatalogProtocol {
-    /// Figure 1 — `KnownNNoChirality` (Theorems 3–4).
-    KnownBound(KnownBound),
-    /// Figure 3 — `UnconsciousExploration` (Theorem 5).
-    Unconscious(Unconscious),
-    /// Figure 4 — `LandmarkWithChirality` (Theorem 6).
-    LandmarkChirality(LandmarkChirality),
-    /// Figures 8 and 13 — the landmark algorithms without chirality
-    /// (Theorems 7–8), covering both `Algorithm::LandmarkNoChirality` and
-    /// `Algorithm::StartFromLandmarkNoChirality`.
-    LandmarkNoChirality(LandmarkNoChirality),
-    /// Figure 14 — `PTBoundWithChirality` (Theorems 12–13).
-    PtBoundChirality(PtBoundChirality),
-    /// Figure 17 — `PTLandmarkWithChirality` (Theorems 14–15).
-    PtLandmarkChirality(PtLandmarkChirality),
-    /// Figure 18 — the no-chirality SSYNC family (Theorems 16–17 and 20),
-    /// covering the `PtBoundNoChirality`, `PtLandmarkNoChirality` and
-    /// `EtBoundNoChirality` algorithm entries.
-    PtNoChirality(PtNoChirality),
-    /// Theorem 18 — `ETUnconscious`.
-    EtUnconscious(EtUnconscious),
-    /// Observation 1 — the single-agent strawman (cannot succeed).
-    LoneWalker(LoneWalker),
-}
-
-/// Statically dispatches `$body` over every [`CatalogProtocol`] variant,
-/// binding the wrapped concrete protocol to `$inner`.
-macro_rules! dispatch {
-    ($value:expr, $inner:ident => $body:expr) => {
-        match $value {
-            CatalogProtocol::KnownBound($inner) => $body,
-            CatalogProtocol::Unconscious($inner) => $body,
-            CatalogProtocol::LandmarkChirality($inner) => $body,
-            CatalogProtocol::LandmarkNoChirality($inner) => $body,
-            CatalogProtocol::PtBoundChirality($inner) => $body,
-            CatalogProtocol::PtLandmarkChirality($inner) => $body,
-            CatalogProtocol::PtNoChirality($inner) => $body,
-            CatalogProtocol::EtUnconscious($inner) => $body,
-            CatalogProtocol::LoneWalker($inner) => $body,
-        }
-    };
-}
-
-impl Clone for CatalogProtocol {
-    fn clone(&self) -> Self {
-        match self {
-            CatalogProtocol::KnownBound(p) => CatalogProtocol::KnownBound(p.clone()),
-            CatalogProtocol::Unconscious(p) => CatalogProtocol::Unconscious(p.clone()),
-            CatalogProtocol::LandmarkChirality(p) => CatalogProtocol::LandmarkChirality(p.clone()),
-            CatalogProtocol::LandmarkNoChirality(p) => {
-                CatalogProtocol::LandmarkNoChirality(p.clone())
-            }
-            CatalogProtocol::PtBoundChirality(p) => CatalogProtocol::PtBoundChirality(p.clone()),
-            CatalogProtocol::PtLandmarkChirality(p) => {
-                CatalogProtocol::PtLandmarkChirality(p.clone())
-            }
-            CatalogProtocol::PtNoChirality(p) => CatalogProtocol::PtNoChirality(p.clone()),
-            CatalogProtocol::EtUnconscious(p) => CatalogProtocol::EtUnconscious(p.clone()),
-            CatalogProtocol::LoneWalker(p) => CatalogProtocol::LoneWalker(p.clone()),
-        }
-    }
-
-    /// Variant-matching state copy: when both sides hold the same variant the
-    /// copy delegates to the concrete protocol's `clone_from` (which reuses
-    /// existing heap capacity where the type provides one), so refreshing an
-    /// engine probe from a live catalogue protocol is allocation-free in the
-    /// steady state — and needs no `as_any` downcast.
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (CatalogProtocol::KnownBound(dst), CatalogProtocol::KnownBound(src)) => {
-                dst.clone_from(src);
-            }
-            (CatalogProtocol::Unconscious(dst), CatalogProtocol::Unconscious(src)) => {
-                dst.clone_from(src);
-            }
-            (CatalogProtocol::LandmarkChirality(dst), CatalogProtocol::LandmarkChirality(src)) => {
-                dst.clone_from(src);
-            }
-            (
-                CatalogProtocol::LandmarkNoChirality(dst),
-                CatalogProtocol::LandmarkNoChirality(src),
-            ) => dst.clone_from(src),
-            (CatalogProtocol::PtBoundChirality(dst), CatalogProtocol::PtBoundChirality(src)) => {
-                dst.clone_from(src);
-            }
-            (
-                CatalogProtocol::PtLandmarkChirality(dst),
-                CatalogProtocol::PtLandmarkChirality(src),
-            ) => dst.clone_from(src),
-            (CatalogProtocol::PtNoChirality(dst), CatalogProtocol::PtNoChirality(src)) => {
-                dst.clone_from(src);
-            }
-            (CatalogProtocol::EtUnconscious(dst), CatalogProtocol::EtUnconscious(src)) => {
-                dst.clone_from(src);
-            }
-            (CatalogProtocol::LoneWalker(dst), CatalogProtocol::LoneWalker(src)) => {
-                dst.clone_from(src);
-            }
-            (dst, src) => *dst = src.clone(),
-        }
-    }
-}
-
-/// The enum is itself a [`Protocol`], so a `CatalogProtocol` can cross any
-/// `Box<dyn Protocol>` boundary; every method forwards to the wrapped state
-/// machine through the static `match`, and the trace-facing strings (`name`,
-/// `state_label`) are bit-identical to the wrapped protocol's own.
-impl Protocol for CatalogProtocol {
-    fn name(&self) -> &'static str {
-        dispatch!(self, p => p.name())
-    }
-
-    fn termination_kind(&self) -> TerminationKind {
-        dispatch!(self, p => p.termination_kind())
-    }
-
-    #[inline]
-    fn decide(&mut self, snapshot: &Snapshot) -> Decision {
-        dispatch!(self, p => p.decide(snapshot))
-    }
-
-    fn has_terminated(&self) -> bool {
-        dispatch!(self, p => p.has_terminated())
-    }
-
-    fn clone_box(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn clone_from_box(&mut self, src: &dyn Protocol) -> bool {
-        dynring_model::clone_state_from(self, src)
-    }
-
-    fn state_label(&self) -> String {
-        dispatch!(self, p => p.state_label())
-    }
-
-    fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
-        // A leading variant tag keeps encodings of different catalogue
-        // algorithms disjoint even when their field encodings would collide.
-        out.push(match self {
-            CatalogProtocol::KnownBound(_) => 0,
-            CatalogProtocol::Unconscious(_) => 1,
-            CatalogProtocol::LandmarkChirality(_) => 2,
-            CatalogProtocol::LandmarkNoChirality(_) => 3,
-            CatalogProtocol::PtBoundChirality(_) => 4,
-            CatalogProtocol::PtLandmarkChirality(_) => 5,
-            CatalogProtocol::PtNoChirality(_) => 6,
-            CatalogProtocol::EtUnconscious(_) => 7,
-            CatalogProtocol::LoneWalker(_) => 8,
-        });
-        dispatch!(self, p => p.write_state_key(out))
+        write!(f, "{}", self.instantiate().name())
     }
 }
 
@@ -596,42 +342,6 @@ mod tests {
             Algorithm::StartFromLandmarkNoChirality.to_string(),
             "StartFromLandmarkNoChirality"
         );
-    }
-
-    #[test]
-    fn enum_and_boxed_instantiations_agree_on_every_algorithm() {
-        for alg in Algorithm::full_catalog(8) {
-            let enumed = alg.instantiate_enum();
-            let boxed = alg.instantiate();
-            assert_eq!(enumed.name(), boxed.name(), "{alg:?}");
-            assert_eq!(enumed.termination_kind(), boxed.termination_kind(), "{alg:?}");
-            assert_eq!(enumed.has_terminated(), boxed.has_terminated(), "{alg:?}");
-            assert_eq!(enumed.state_label(), boxed.state_label(), "{alg:?}");
-        }
-    }
-
-    #[test]
-    fn enum_clone_from_copies_across_matching_variants() {
-        let mut probe = Algorithm::KnownBound { upper_bound: 4 }.instantiate_enum();
-        let live = Algorithm::KnownBound { upper_bound: 9 }.instantiate_enum();
-        probe.clone_from(&live);
-        assert_eq!(probe.state_label(), live.state_label());
-        // A variant mismatch falls back to a full clone of the source.
-        let other = Algorithm::Unconscious.instantiate_enum();
-        probe.clone_from(&other);
-        assert_eq!(probe.name(), "UnconsciousExploration");
-    }
-
-    #[test]
-    fn enum_supports_the_boxed_state_copy_api() {
-        let live: Box<dyn Protocol> =
-            Box::new(Algorithm::LandmarkNoChirality.instantiate_enum());
-        let mut probe = live.clone_box();
-        assert!(probe.clone_from_box(live.as_ref()));
-        assert_eq!(probe.state_label(), live.state_label());
-        // Copying from a non-enum protocol is refused (type mismatch).
-        let concrete = Algorithm::LandmarkNoChirality.instantiate();
-        assert!(!probe.clone_from_box(concrete.as_ref()));
     }
 
     #[test]

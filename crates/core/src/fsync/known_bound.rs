@@ -38,12 +38,6 @@ enum State {
 /// let agent = KnownBound::new(10);
 /// assert_eq!(agent.termination_kind(), TerminationKind::Explicit);
 /// ```
-///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::KnownBound`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KnownBound {
     bound: u64,

@@ -60,12 +60,6 @@ pub enum LcState {
 /// assert_eq!(agent.termination_kind(), TerminationKind::Explicit);
 /// assert_eq!(agent.name(), "LandmarkWithChirality");
 /// ```
-///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::LandmarkChirality`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LandmarkChirality {
     state: LcState,

@@ -73,12 +73,6 @@ pub enum LnState {
 /// assert_eq!(agent.termination_kind(), TerminationKind::Explicit);
 /// assert_eq!(agent.name(), "LandmarkNoChirality");
 /// ```
-///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::LandmarkNoChirality`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LandmarkNoChirality {
     state: LnState,

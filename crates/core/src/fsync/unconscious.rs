@@ -44,12 +44,6 @@ enum State {
 /// assert_eq!(agent.termination_kind(), TerminationKind::Unconscious);
 /// assert!(!agent.has_terminated());
 /// ```
-///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::Unconscious`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Unconscious {
     state: State,

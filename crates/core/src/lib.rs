@@ -49,5 +49,5 @@ pub mod fsync;
 pub mod single;
 pub mod ssync;
 
-pub use catalog::{Algorithm, AlgorithmFamily, CatalogProtocol};
+pub use catalog::{Algorithm, AlgorithmFamily};
 pub use counters::Counters;

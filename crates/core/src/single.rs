@@ -23,12 +23,6 @@ use serde::{Deserialize, Serialize};
 /// let agent = LoneWalker::new(3);
 /// assert_eq!(agent.name(), "LoneWalker");
 /// ```
-///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::LoneWalker`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoneWalker {
     patience: u64,

@@ -18,12 +18,6 @@ use serde::{Deserialize, Serialize};
 /// let agent = EtUnconscious::new();
 /// assert_eq!(agent.termination_kind(), TerminationKind::Unconscious);
 /// ```
-///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::EtUnconscious`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EtUnconscious {
     dir: LocalDirection,

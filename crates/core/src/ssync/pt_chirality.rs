@@ -170,12 +170,6 @@ impl PtChirality {
 /// let agent = PtBoundChirality::new(12);
 /// assert_eq!(agent.termination_kind(), TerminationKind::Partial);
 /// ```
-///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::PtBoundChirality`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PtBoundChirality {
     inner: PtChirality,
@@ -250,12 +244,6 @@ impl Protocol for PtBoundChirality {
 /// let agent = PtLandmarkChirality::new();
 /// assert_eq!(agent.name(), "PTLandmarkWithChirality");
 /// ```
-///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::PtLandmarkChirality`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PtLandmarkChirality {
     inner: PtChirality,

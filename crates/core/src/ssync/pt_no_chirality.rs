@@ -73,12 +73,6 @@ enum State {
 /// assert_eq!(et.name(), "ETBoundNoChirality");
 /// assert_eq!(et.termination_kind(), TerminationKind::Partial);
 /// ```
-///
-/// In the engine's enum-dispatched runtime this type is carried by the
-/// [`CatalogProtocol::PtNoChirality`](crate::CatalogProtocol) fast-path variant
-/// (statically dispatched Compute); boxing it through
-/// [`Protocol::clone_box`] or `Algorithm::instantiate` selects the
-/// virtual-dispatch escape hatch instead. See `docs/ARCHITECTURE.md`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PtNoChirality {
     done: SizeTermination,

@@ -63,8 +63,8 @@
 //! * a *symmetry-invariant* prefix, emitted once — round counter,
 //!   activation-policy token, and per agent the sleep age, the dense rank of
 //!   its last-active round, and its length-prefixed program state via
-//!   [`AgentProgram::write_state_key`] (packed integers for catalogue
-//!   protocols, a `Debug`-string fallback for foreign boxed ones);
+//!   `write_program_key` (packed integers for catalogue protocols, a
+//!   `Debug`-string fallback for protocols without a packed encoding);
 //! * a *symmetry-variant* suffix, minimised lexicographically over the
 //!   admissible maps — the permuted visit map bit-packed at 8 nodes/byte,
 //!   then per agent the mapped node (`u16`) and one flags byte packing the
@@ -79,15 +79,30 @@
 //! still minimising over all `2n` maps, so benches and the equivalence
 //! proptests can measure and verify exactly that against the full group.
 
-use crate::world::AgentProgram;
 use dynring_graph::{GlobalDirection, Handedness, NodeId, RingTopology};
-use dynring_model::PriorOutcome;
+use dynring_model::{PriorOutcome, Protocol};
 use std::fmt::Write as _;
 
 /// Largest ring the packed key encodes injectively: mapped nodes are `u16`.
 const MAX_KEY_NODES: usize = u16::MAX as usize + 1;
 /// Largest team the packed key encodes injectively: last-active ranks are `u8`.
 const MAX_KEY_AGENTS: usize = u8::MAX as usize + 1;
+
+/// Appends an injective binary encoding of `program`'s full state to `out`:
+/// a discriminator byte `1` followed by the protocol's packed encoding
+/// ([`Protocol::write_state_key`]), or, for a protocol that does not supply
+/// one, `0` followed by its length-prefixed `Debug` string (allocation
+/// accepted on this fallback — the format is injective because `Debug`
+/// derives print every field).
+fn write_program_key(program: &dyn Protocol, out: &mut Vec<u8>) {
+    let tag_at = out.len();
+    out.push(1);
+    if !program.write_state_key(out) {
+        out.truncate(tag_at);
+        out.push(0);
+        dynring_model::statekey::push_bytes(out, format!("{program:?}").as_bytes());
+    }
+}
 
 /// Recycled scratch buffers for [`SimCheckpoint::canonical_key_into`].
 ///
@@ -133,7 +148,7 @@ pub struct SimCheckpoint {
     pub(crate) terminated: Vec<bool>,
     pub(crate) handedness: Vec<Handedness>,
     pub(crate) prior: Vec<PriorOutcome>,
-    pub(crate) program: Vec<AgentProgram>,
+    pub(crate) program: Vec<Box<dyn Protocol>>,
     pub(crate) moves: Vec<u64>,
     pub(crate) activations: Vec<u64>,
     pub(crate) last_active_round: Vec<u64>,
@@ -224,7 +239,7 @@ impl SimCheckpoint {
         scratch.programs.clear();
         scratch.program_ends.clear();
         for program in &self.program {
-            program.write_state_key(&mut scratch.programs);
+            write_program_key(program.as_ref(), &mut scratch.programs);
             let end = u32::try_from(scratch.programs.len()).expect("program key exceeds u32");
             scratch.program_ends.push(end);
         }

@@ -4,11 +4,9 @@
 //! *Live Exploration of Dynamic Rings* against pluggable adversaries:
 //!
 //! * [`world`] — the "god view": where each agent stands, which ports are
-//!   held, which nodes have been visited — plus [`world::AgentProgram`],
-//!   the two-representation agent runtime (statically dispatched
-//!   [`CatalogProtocol`](dynring_core::CatalogProtocol) fast path for
-//!   catalogue teams, `Box<dyn Protocol>` escape hatch for user-defined
-//!   protocols; see `docs/ARCHITECTURE.md`, "The dispatch story");
+//!   held, which nodes have been visited, and each agent's program — a
+//!   `Box<dyn Protocol>` for catalogue and user-defined protocols alike
+//!   (see `docs/ARCHITECTURE.md`, "Agent programs");
 //! * [`scheduler`] — activation policies: the FSYNC scheduler, fair and
 //!   adversarial SSYNC schedulers, and the ET-fairness wrapper;
 //! * [`adversary`] — edge-removal policies: benign, random, scripted
@@ -29,10 +27,6 @@
 //!
 //! # Quick example
 //!
-//! Catalogue agents ride the enum fast path via
-//! [`SimulationBuilder::agent_program`](sim::SimulationBuilder::agent_program);
-//! `agent` with a `Box<dyn Protocol>` is the equivalent escape hatch.
-//!
 //! ```
 //! use dynring_core::Algorithm;
 //! use dynring_engine::adversary::NoRemoval;
@@ -45,8 +39,8 @@
 //! let ring = RingTopology::new(8).unwrap();
 //! let mut sim = Simulation::builder(ring)
 //!     .synchrony(SynchronyModel::Fsync)
-//!     .agent_program(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate_enum())
-//!     .agent_program(NodeId::new(3), Handedness::LeftIsCcw, alg.instantiate_enum())
+//!     .agent(NodeId::new(0), Handedness::LeftIsCcw, alg.instantiate())
+//!     .agent(NodeId::new(3), Handedness::LeftIsCcw, alg.instantiate())
 //!     .activation(Box::new(FullActivation))
 //!     .edges(Box::new(NoRemoval))
 //!     .build()
@@ -76,4 +70,4 @@ pub use scheduler::ActivationPolicy;
 pub use sim::{AgentSpec, RunReport, RunSpec, Simulation, SimulationBuilder, StopCondition};
 pub use sim_batch::{BatchLane, SimBatch};
 pub use trace::{RoundRecord, Trace};
-pub use world::{AgentProgram, AgentView, PredictedAction, RoundView};
+pub use world::{AgentView, PredictedAction, RoundView};

@@ -6,8 +6,8 @@ use crate::error::EngineError;
 use crate::scheduler::ActivationPolicy;
 use crate::trace::Trace;
 use crate::world::{
-    build_snapshot, fill_agent_views, fill_round_fsync, predict_action, AgentProgram, AgentSoA,
-    AgentView, LaneStateMut, ProbePool, RoundView,
+    build_snapshot, fill_agent_views, fill_round_fsync, predict_action, AgentSoA, AgentView,
+    LaneStateMut, ProbePool, RoundView,
 };
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::{Decision, PriorOutcome, Protocol, SynchronyModel, TransportModel};
@@ -105,7 +105,7 @@ impl RunReport {
 pub struct SimulationBuilder {
     ring: RingTopology,
     synchrony: SynchronyModel,
-    agents: Vec<(NodeId, Handedness, AgentProgram)>,
+    agents: Vec<(NodeId, Handedness, Box<dyn Protocol>)>,
     activation: Option<Box<dyn ActivationPolicy>>,
     edges: Option<Box<dyn EdgePolicy>>,
     record_trace: bool,
@@ -119,10 +119,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Adds an agent with its start node, private orientation and a boxed
-    /// protocol (the `dyn`-dispatch extension escape hatch; equivalent to
-    /// [`SimulationBuilder::agent_program`] with an
-    /// [`AgentProgram::Boxed`]).
+    /// Adds an agent with its start node, private orientation and protocol —
+    /// a catalogue algorithm (`Algorithm::instantiate`) or any user-defined
+    /// [`Protocol`]; mixed teams are fine.
     #[must_use]
     pub fn agent(
         mut self,
@@ -130,25 +129,7 @@ impl SimulationBuilder {
         handedness: Handedness,
         protocol: Box<dyn Protocol>,
     ) -> Self {
-        self.agents.push((start, handedness, AgentProgram::Boxed(protocol)));
-        self
-    }
-
-    /// Adds an agent with its start node, private orientation and program.
-    ///
-    /// Accepts both sides of the engine's dispatch story: a
-    /// [`CatalogProtocol`](dynring_core::CatalogProtocol) (the statically
-    /// dispatched fast path — pass `algorithm.instantiate_enum()`) or an
-    /// explicit [`AgentProgram`]. Mixed teams are fine; see the
-    /// `dynring_core::catalog` docs for a worked example.
-    #[must_use]
-    pub fn agent_program(
-        mut self,
-        start: NodeId,
-        handedness: Handedness,
-        program: impl Into<AgentProgram>,
-    ) -> Self {
-        self.agents.push((start, handedness, program.into()));
+        self.agents.push((start, handedness, protocol));
         self
     }
 
@@ -234,14 +215,14 @@ pub struct AgentSpec {
     /// The program in its as-instantiated state. Fresh builds clone it;
     /// recycled runs copy its state into the live program in place (see
     /// [`Simulation::recycle`]).
-    pub program: AgentProgram,
+    pub program: Box<dyn Protocol>,
 }
 
 impl AgentSpec {
     /// Bundles one agent's start, orientation and program template.
     #[must_use]
-    pub fn new(start: NodeId, handedness: Handedness, program: impl Into<AgentProgram>) -> Self {
-        AgentSpec { start, handedness, program: program.into() }
+    pub fn new(start: NodeId, handedness: Handedness, program: Box<dyn Protocol>) -> Self {
+        AgentSpec { start, handedness, program }
     }
 }
 
@@ -346,8 +327,7 @@ impl RunSpec {
             .edges(edges)
             .record_trace(self.record_trace);
         for agent in &self.agents {
-            builder =
-                builder.agent_program(agent.start, agent.handedness, agent.program.clone_program());
+            builder = builder.agent(agent.start, agent.handedness, agent.program.clone());
         }
         builder.build().expect("RunSpec was validated at construction")
     }
@@ -514,8 +494,8 @@ impl Simulation {
     /// * the whole agent team is reset from the spec's templates — hot and
     ///   cold SoA fields, per-agent visit maps and the occupancy index are
     ///   refilled in their existing vectors, and each program copies the
-    ///   template's pristine state through the enum's variant-matching
-    ///   `clone_from` (boxed programs through `clone_from_box`);
+    ///   template's pristine state in place through
+    ///   [`Protocol::clone_from_box`];
     /// * the trace is cleared (or created/dropped if `spec` toggles
     ///   recording) and the round scratch, including the probe pool, carries
     ///   over as-is — every scratch buffer is refilled before use;
@@ -524,7 +504,7 @@ impl Simulation {
     ///   next run needs *different* policies, install them first with
     ///   [`Simulation::replace_policies`].
     ///
-    /// When the shape (ring size, team size, program representations) matches
+    /// When the shape (ring size, team size, program types) matches
     /// the previous run this performs **zero heap allocations**; when it does
     /// not, existing capacity is still reused and only growth allocates. A
     /// recycled run is observably identical to one built fresh from the same
@@ -732,7 +712,7 @@ impl Simulation {
                     decision
                 } else if probe_sleepers {
                     let snapshot = build_snapshot(&self.ring, &self.agents, index, round, fsync);
-                    probes.refresh(index, &self.agents.program[index]).decide(&snapshot)
+                    probes.refresh(index, self.agents.program[index].as_ref()).decide(&snapshot)
                 } else {
                     continue;
                 };
@@ -1070,16 +1050,7 @@ impl Simulation {
         out.agent_visited_count.clone_from(&agents.visited_count);
         out.node_population.clone_from(&agents.node_population);
         out.crowded_nodes = agents.crowded_nodes;
-        if out.program.len() == agents.program.len() {
-            for (dst, src) in out.program.iter_mut().zip(&agents.program) {
-                if !dst.clone_from_program(src) {
-                    *dst = src.clone_program();
-                }
-            }
-        } else {
-            out.program.clear();
-            out.program.extend(agents.program.iter().map(AgentProgram::clone_program));
-        }
+        out.program.clone_from(&agents.program);
         out.activation_token = self
             .activation
             .state_token()
@@ -1119,11 +1090,7 @@ impl Simulation {
         agents.visited_count.clone_from(&cp.agent_visited_count);
         agents.node_population.clone_from(&cp.node_population);
         agents.crowded_nodes = cp.crowded_nodes;
-        for (dst, src) in agents.program.iter_mut().zip(&cp.program) {
-            if !dst.clone_from_program(src) {
-                *dst = src.clone_program();
-            }
-        }
+        agents.program.clone_from(&cp.program);
         if let Some(trace) = self.trace.as_mut() {
             // Program state just changed outside `decide` — the one event the
             // trace's label delta encoding cannot observe.

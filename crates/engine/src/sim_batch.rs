@@ -46,12 +46,12 @@ use crate::scheduler::ActivationPolicy;
 use crate::sim::{resolve_lane, RunReport, RunSpec, StopCondition, StopReason};
 use crate::trace::Trace;
 use crate::world::{
-    build_snapshot_lane, fill_agent_views_lane, predict_action, to_global, to_local, AgentProgram, PredictedAction,
-    AgentSoA, AgentView, LaneRef, LaneStateMut, ProbePool, RoundView,
+    build_snapshot_lane, fill_agent_views_lane, predict_action, to_global, to_local, AgentSoA,
+    AgentView, LaneRef, LaneStateMut, PredictedAction, ProbePool, RoundView,
 };
 use dynring_graph::{AgentId, GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::{
-    Decision, LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Snapshot,
+    Decision, LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Protocol, Snapshot,
     TerminationKind, TransportModel,
 };
 use std::borrow::Cow;
@@ -114,7 +114,7 @@ pub struct SimBatch {
     terminated: Vec<bool>,
     handedness: Vec<Handedness>,
     prior: Vec<PriorOutcome>,
-    program: Vec<AgentProgram>,
+    program: Vec<Box<dyn Protocol>>,
     moves: Vec<u64>,
     activations: Vec<u64>,
     last_active_round: Vec<u64>,
@@ -181,7 +181,7 @@ struct FsyncLane<'x> {
     term: &'x mut [bool],
     hand: &'x [Handedness],
     prior: &'x mut [PriorOutcome],
-    prog: &'x mut [AgentProgram],
+    prog: &'x mut [Box<dyn Protocol>],
     moves: &'x mut [u64],
     activations: &'x mut [u64],
     last_active: &'x mut [u64],
@@ -657,7 +657,7 @@ impl SimBatch {
         // it held at the start plus a newly acquired one), hence stride 2A.
         refit(&mut self.fclaimed, b * 2 * a, (NodeId::new(0), GlobalDirection::Cw));
         // Programs are refreshed by `recycle`; keeping the old entries lets
-        // same-representation templates reset through `clone_from_program`
+        // same-type templates reset through an in-place `clone_from`
         // without reboxing.
         self.program.truncate(b * a);
         if self.lane_scratch.len() < b {
@@ -707,11 +707,11 @@ impl SimBatch {
         self.terminated_at.fill(None);
         self.visited_count.fill(1);
         self.explored_at.fill(None);
-        bulk::zero_u64(&mut self.moves);
-        bulk::zero_u64(&mut self.activations);
-        bulk::zero_u64(&mut self.last_active_round);
-        bulk::zero_u64(&mut self.asleep_on_port);
-        bulk::zero_u64(&mut self.round);
+        self.moves.fill(0);
+        self.activations.fill(0);
+        self.last_active_round.fill(0);
+        self.asleep_on_port.fill(0);
+        self.round.fill(0);
         self.crowded_nodes.fill(0);
         self.alive.fill(a);
         for (lane, spec) in self.specs.iter().enumerate() {
@@ -719,12 +719,9 @@ impl SimBatch {
             for (index, agent) in spec.agent_specs().iter().enumerate() {
                 let flat = lane * a + index;
                 self.node[flat] = agent.start;
-                if let Some(live) = self.program.get_mut(flat) {
-                    if !live.clone_from_program(&agent.program) {
-                        *live = agent.program.clone_program();
-                    }
-                } else {
-                    self.program.push(agent.program.clone_program());
+                match self.program.get_mut(flat) {
+                    Some(live) => live.clone_from(&agent.program),
+                    None => self.program.push(agent.program.clone()),
                 }
                 self.agent_visited[flat * n + agent.start.index()] = true;
                 let population = &mut self.node_population[lane * n + agent.start.index()];
@@ -1320,7 +1317,7 @@ impl SimBatch {
                         let snapshot = build_snapshot_lane(ring, &lane_ref, index, r, false);
                         scratch
                             .probes
-                            .refresh(index, &program[lane * a + index])
+                            .refresh(index, program[lane * a + index].as_ref())
                             .decide(&snapshot)
                     } else {
                         continue;
@@ -1441,45 +1438,6 @@ impl SimBatch {
     }
 }
 
-/// Bulk-reset kernels for the recycle path. The default build leans on
-/// `slice::fill` (which lowers to `memset`); the `wide-kernel` feature
-/// swaps in an explicitly chunked kernel that processes a fixed vector
-/// width per iteration — the cfg-gated "explicit SIMD" variant, written in
-/// safe code so it composes with `#![forbid(unsafe_code)]` and falls back
-/// to the scalar path for the remainder lanes.
-mod bulk {
-    /// Zeroes a `u64` counter array, eight lanes per iteration.
-    #[cfg(feature = "wide-kernel")]
-    pub(super) fn zero_u64(dst: &mut [u64]) {
-        const WIDTH: usize = 8;
-        let mut chunks = dst.chunks_exact_mut(WIDTH);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&[0; WIDTH]);
-        }
-        for value in chunks.into_remainder() {
-            *value = 0;
-        }
-    }
-
-    /// Zeroes a `u64` counter array (scalar fallback: `memset`).
-    #[cfg(not(feature = "wide-kernel"))]
-    pub(super) fn zero_u64(dst: &mut [u64]) {
-        dst.fill(0);
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn zero_u64_clears_every_lane_and_the_ragged_tail() {
-            for len in [0usize, 1, 7, 8, 9, 31, 64] {
-                let mut buffer: Vec<u64> = (1..=len as u64).collect();
-                super::zero_u64(&mut buffer);
-                assert!(buffer.iter().all(|v| *v == 0), "len {len}");
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1487,7 +1445,7 @@ mod tests {
     use crate::scheduler::{FullActivation, RoundRobinSingle};
     use crate::sim::AgentSpec;
     use dynring_core::fsync::KnownBound;
-    use dynring_model::{Protocol, SynchronyModel};
+    use dynring_model::SynchronyModel;
 
     fn spec(n: usize, starts: &[usize], synchrony: SynchronyModel) -> RunSpec {
         let agents = starts
@@ -1495,7 +1453,7 @@ mod tests {
             .map(|&start| AgentSpec {
                 start: NodeId::new(start),
                 handedness: Handedness::LeftIsCcw,
-                program: AgentProgram::Boxed(Box::new(KnownBound::new(n)) as Box<dyn Protocol>),
+                program: Box::new(KnownBound::new(n)),
             })
             .collect();
         RunSpec::new(RingTopology::new(n).unwrap(), synchrony, agents, false).unwrap()

@@ -21,12 +21,14 @@
 //!   a landing that is none of those (hand-built records on an unknown ring)
 //!   spills an explicit `NodeId` to a side table;
 //! * **interned state labels** — the engine never calls
-//!   [`state_label`](crate::world::AgentProgram::state_label) while
+//!   [`state_label`](dynring_model::Protocol::state_label) while
 //!   recording. Protocol state only changes inside `decide`, so a new label
-//!   entry (a cheap in-place program snapshot, variant-matching on the
-//!   `CatalogProtocol` fast path) is taken only for agents that computed
-//!   this round; every other entry reuses the agent's previous label id.
-//!   Labels are rendered to `String`s lazily, at materialization time.
+//!   entry (a cheap in-place program snapshot through
+//!   [`Protocol::clone_from_box`]) is taken only for agents that computed
+//!   this round; every other entry reuses the agent's previous label id. A
+//!   fresh trace takes its snapshot boxes from the ones dropped traces left
+//!   on the thread, so recording does not allocate per label. Labels are
+//!   rendered to `String`s lazily, at materialization time.
 //!
 //! The row-oriented [`RoundRecord`]/[`AgentRoundRecord`] structs survive as a
 //! **lazily materialized view**: [`Trace::rounds`] iterates them,
@@ -36,9 +38,9 @@
 //! [`Trace::clear`] keeps every column's capacity (and the label table's
 //! slots), so a recycled trace-on run appends without heap allocation.
 
-use crate::world::AgentProgram;
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, NodeId};
-use dynring_model::{Decision, LocalDirection, PriorOutcome};
+use dynring_model::{copy_program, Decision, LocalDirection, PriorOutcome, Protocol};
+use std::cell::RefCell;
 use std::fmt;
 
 /// What happened to one agent in one round.
@@ -128,17 +130,12 @@ const NO_LABEL: u32 = u32::MAX;
 
 /// One slot of the state-label table: either a literal string (hand-built
 /// records pushed through [`Trace::push`]) or a snapshot of the agent's
-/// program, whose label is formatted only when a view materializes.
-///
-/// The program snapshot is stored inline, not boxed: interning a label is
-/// on the per-round hot path, and a wide flat slot that is overwritten in
-/// place on reuse keeps the recording loop free of heap allocation — a
-/// boxed variant would trade the one-time width for an allocator call per
-/// fresh label.
-#[allow(clippy::large_enum_variant)]
+/// program, whose label is formatted only when a view materializes. A
+/// reused slot is overwritten in place ([`copy_program`]), so
+/// a recycled trace-on run records without heap allocation.
 enum LabelEntry {
     Text(String),
-    Program(AgentProgram),
+    Program(Box<dyn Protocol>),
 }
 
 impl LabelEntry {
@@ -152,9 +149,20 @@ impl LabelEntry {
     fn clone_entry(&self) -> LabelEntry {
         match self {
             LabelEntry::Text(text) => LabelEntry::Text(text.clone()),
-            LabelEntry::Program(program) => LabelEntry::Program(program.clone_program()),
+            LabelEntry::Program(program) => LabelEntry::Program(program.clone()),
         }
     }
+}
+
+/// Most program snapshots [`SPARE_SNAPSHOTS`] keeps per thread.
+const SPARE_SNAPSHOT_CAP: usize = 1 << 14;
+
+thread_local! {
+    /// Program snapshots released by dropped traces on this thread, taken by
+    /// the next trace that grows its label table: a fresh trace-on run then
+    /// copies program state into a warm box instead of allocating one per
+    /// label (a malloc/free pair costs about as much as a whole round).
+    static SPARE_SNAPSHOTS: RefCell<Vec<Box<dyn Protocol>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A full execution trace, stored columnar (see the module docs).
@@ -404,7 +412,7 @@ impl Trace {
         decisions: &[Option<Decision>],
         outcomes: &[PriorOutcome],
         terminated: &[bool],
-        programs: &[AgentProgram],
+        programs: &[Box<dyn Protocol>],
     ) {
         self.ring_size = ring_size;
         self.begin_round(round, missing_edge, visited_count, active);
@@ -416,7 +424,7 @@ impl Trace {
             // Protocol state mutates only inside `decide`, so an agent that
             // did not compute this round is still in its last recorded state.
             let label = if decisions[index].is_some() || self.last_label[index] == NO_LABEL {
-                self.intern_program(index, &programs[index])
+                self.intern_program(index, programs[index].as_ref())
             } else {
                 self.last_label[index]
             };
@@ -540,25 +548,27 @@ impl Trace {
     }
 
     /// Interns a program snapshot: reuses a cleared table slot in place
-    /// through the variant-matching state copy when the slot's
-    /// representation matches, so a recycled rerun of the same scenario
-    /// never allocates for labels.
-    fn intern_program(&mut self, agent_index: usize, program: &AgentProgram) -> u32 {
+    /// when it already holds a program of the same type, so a recycled
+    /// rerun of the same scenario never allocates for labels.
+    fn intern_program(&mut self, agent_index: usize, program: &dyn Protocol) -> u32 {
         let id = self.labels_len;
         if id == self.labels.len() {
             // Growing past every retained slot: snapshot straight into the
             // push (no placeholder that the slot write would immediately
-            // overwrite — the label table is the widest trace column, so
-            // writing each fresh slot once instead of twice matters).
-            self.labels.push(LabelEntry::Program(program.clone_program()));
-        } else {
-            let slot = &mut self.labels[id];
-            let reused = match slot {
-                LabelEntry::Program(existing) => existing.clone_from_program(program),
-                LabelEntry::Text(_) => false,
+            // overwrite).
+            let spare = SPARE_SNAPSHOTS.with(|spare| spare.borrow_mut().pop());
+            let snapshot = match spare {
+                Some(mut snapshot) => {
+                    copy_program(&mut snapshot, program);
+                    snapshot
+                }
+                None => program.clone_box(),
             };
-            if !reused {
-                *slot = LabelEntry::Program(program.clone_program());
+            self.labels.push(LabelEntry::Program(snapshot));
+        } else {
+            match &mut self.labels[id] {
+                LabelEntry::Program(existing) => copy_program(existing, program),
+                slot => *slot = LabelEntry::Program(program.clone_box()),
             }
         }
         self.labels_len += 1;
@@ -641,6 +651,25 @@ impl Trace {
 impl Default for Trace {
     fn default() -> Self {
         Trace::new()
+    }
+}
+
+impl Drop for Trace {
+    fn drop(&mut self) {
+        // `try_with`: a trace dropped during thread teardown just frees.
+        let _ = SPARE_SNAPSHOTS.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let room = SPARE_SNAPSHOT_CAP.saturating_sub(spare.len());
+            spare.extend(
+                self.labels
+                    .drain(..)
+                    .filter_map(|entry| match entry {
+                        LabelEntry::Program(snapshot) => Some(snapshot),
+                        LabelEntry::Text(_) => None,
+                    })
+                    .take(room),
+            );
+        });
     }
 }
 
@@ -950,8 +979,8 @@ mod tests {
             .zip(after)
             .map(|(b, a)| if b == a { PriorOutcome::Idle } else { PriorOutcome::Moved })
             .collect();
-        let programs: Vec<AgentProgram> =
-            (0..count).map(|_| AgentProgram::Boxed(Box::new(Probe))).collect();
+        let programs: Vec<Box<dyn Protocol>> =
+            (0..count).map(|_| Box::new(Probe) as Box<dyn Protocol>).collect();
         t.record_round_from_lane(
             round,
             None,

@@ -13,173 +13,20 @@
 //! pass and the scheduler's activation scans — are dense parallel vectors
 //! indexed by agent, while cold state (the agent program, per-agent visit
 //! maps, statistics) lives in separate arrays the hot passes never touch.
-//! Each program is an [`AgentProgram`]: a statically dispatched
-//! [`CatalogProtocol`] for the paper's algorithms (zero virtual calls in a
-//! homogeneous team's Compute dispatch) or a `Box<dyn Protocol>` escape
-//! hatch for user-defined ones. Decision predictions reuse per-agent probe
-//! instances from a private probe pool (an in-place state copy per round —
-//! a variant-matching `clone_from` on the enum arm, never an `as_any`
-//! downcast) instead of boxing a fresh clone, so the omniscient-adversary
-//! path is allocation-free in the steady state too.
+//! Each program is a `Box<dyn Protocol>`, the one agent-program
+//! representation for catalogue and user-defined protocols alike. Decision
+//! predictions reuse per-agent probe instances from a private probe pool (an
+//! in-place state copy per round through [`Protocol::clone_from_box`])
+//! instead of boxing a fresh clone, so the omniscient-adversary path is
+//! allocation-free in the steady state too.
 
-use dynring_core::CatalogProtocol;
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::{
-    Decision, LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Protocol, Snapshot,
-    TerminationKind,
+    copy_program, Decision, LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Protocol,
+    Snapshot, TerminationKind,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-
-/// The executable program of one agent: the engine's two-representation
-/// dispatch story.
-///
-/// * [`AgentProgram::Catalog`] — the **enum fast path**: a
-///   [`CatalogProtocol`] whose `decide` resolves by a static `match` the
-///   compiler inlines, so a homogeneous catalogue team (the common case in
-///   every sweep and bench) runs Compute with **zero virtual calls**, and
-///   prediction probes refresh through a variant-matching
-///   [`Clone::clone_from`] instead of an `as_any` downcast.
-/// * [`AgentProgram::Boxed`] — the **extension escape hatch**: any
-///   user-defined `Box<dyn Protocol>`, dispatched virtually exactly as
-///   before the enum runtime existed.
-///
-/// Both representations coexist in one team (see
-/// [`SimulationBuilder::agent_program`](crate::sim::SimulationBuilder::agent_program))
-/// and are observably identical for catalogue algorithms
-/// (`tests/dispatch_equivalence.rs`). `docs/ARCHITECTURE.md` tells the full
-/// story.
-// The size asymmetry is deliberate: storing the catalogue state machine
-// inline (~260 bytes) keeps Compute reads out of the heap entirely, and the
-// per-agent cost is paid once per team, not per round.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum AgentProgram {
-    /// A catalogue protocol on the statically dispatched fast path.
-    Catalog(CatalogProtocol),
-    /// A type-erased protocol on the virtual-dispatch escape hatch.
-    Boxed(Box<dyn Protocol>),
-}
-
-impl From<CatalogProtocol> for AgentProgram {
-    fn from(protocol: CatalogProtocol) -> Self {
-        AgentProgram::Catalog(protocol)
-    }
-}
-
-impl From<Box<dyn Protocol>> for AgentProgram {
-    fn from(protocol: Box<dyn Protocol>) -> Self {
-        AgentProgram::Boxed(protocol)
-    }
-}
-
-impl AgentProgram {
-    /// One **Compute** step (see [`Protocol::decide`]). On the catalogue arm
-    /// this is a static match into the concrete state machine; only the
-    /// boxed arm pays a virtual call.
-    #[inline]
-    pub fn decide(&mut self, snapshot: &Snapshot) -> Decision {
-        match self {
-            AgentProgram::Catalog(p) => p.decide(snapshot),
-            AgentProgram::Boxed(p) => p.decide(snapshot),
-        }
-    }
-
-    /// The wrapped protocol's name (see [`Protocol::name`]).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            AgentProgram::Catalog(p) => p.name(),
-            AgentProgram::Boxed(p) => p.name(),
-        }
-    }
-
-    /// The wrapped protocol's termination discipline.
-    #[must_use]
-    pub fn termination_kind(&self) -> TerminationKind {
-        match self {
-            AgentProgram::Catalog(p) => p.termination_kind(),
-            AgentProgram::Boxed(p) => p.termination_kind(),
-        }
-    }
-
-    /// Whether the wrapped protocol has entered its terminal state.
-    #[must_use]
-    pub fn has_terminated(&self) -> bool {
-        match self {
-            AgentProgram::Catalog(p) => p.has_terminated(),
-            AgentProgram::Boxed(p) => p.has_terminated(),
-        }
-    }
-
-    /// The wrapped protocol's state label for traces.
-    #[must_use]
-    pub fn state_label(&self) -> String {
-        match self {
-            AgentProgram::Catalog(p) => p.state_label(),
-            AgentProgram::Boxed(p) => p.state_label(),
-        }
-    }
-
-    /// Appends an injective binary encoding of the program's full state to
-    /// `out`, for canonical-key construction (see
-    /// [`Protocol::write_state_key`]). A leading arm tag separates the two
-    /// representations, and a second discriminator byte records whether the
-    /// protocol supplied a packed encoding (`1`) or the encoder fell back to
-    /// the length-prefixed `Debug` string (`0`, allocation accepted on this
-    /// escape hatch — the format is injective because `Debug` derives print
-    /// every field).
-    pub fn write_state_key(&self, out: &mut Vec<u8>) {
-        let arm = match self {
-            AgentProgram::Catalog(_) => 0u8,
-            AgentProgram::Boxed(_) => 1u8,
-        };
-        out.push(arm);
-        let tag_at = out.len();
-        out.push(1);
-        let packed = match self {
-            AgentProgram::Catalog(p) => p.write_state_key(out),
-            AgentProgram::Boxed(p) => p.write_state_key(out),
-        };
-        if !packed {
-            out.truncate(tag_at + 1);
-            out[tag_at] = 0;
-            let label = match self {
-                AgentProgram::Catalog(p) => format!("{p:?}"),
-                AgentProgram::Boxed(p) => format!("{p:?}"),
-            };
-            dynring_model::statekey::push_bytes(out, label.as_bytes());
-        }
-    }
-
-    /// An owned copy of the program with its full internal state.
-    #[must_use]
-    pub fn clone_program(&self) -> AgentProgram {
-        match self {
-            AgentProgram::Catalog(p) => AgentProgram::Catalog(p.clone()),
-            AgentProgram::Boxed(p) => AgentProgram::Boxed(p.clone_box()),
-        }
-    }
-
-    /// Copies `src`'s state into `self` in place, returning whether the copy
-    /// happened. Catalogue programs copy through the enum's variant-matching
-    /// `clone_from` (no downcast, allocation-free for same-variant pairs);
-    /// boxed programs go through [`Protocol::clone_from_box`]. A
-    /// representation mismatch is refused, and the caller falls back to
-    /// [`AgentProgram::clone_program`].
-    pub fn clone_from_program(&mut self, src: &AgentProgram) -> bool {
-        match (self, src) {
-            (AgentProgram::Catalog(dst), AgentProgram::Catalog(src)) => {
-                dst.clone_from(src);
-                true
-            }
-            (AgentProgram::Boxed(dst), AgentProgram::Boxed(src)) => {
-                dst.clone_from_box(src.as_ref())
-            }
-            _ => false,
-        }
-    }
-}
 
 /// Converts a local direction into the global frame of an agent with the
 /// given orientation.
@@ -215,9 +62,8 @@ pub(crate) struct AgentSoA {
     pub handedness: Vec<Handedness>,
     /// Hot: the outcome each agent will be shown at its next Look.
     pub prior: Vec<PriorOutcome>,
-    /// Cold: the program (Compute state machine) of each agent — the
-    /// catalogue enum fast path or the boxed escape hatch.
-    pub program: Vec<AgentProgram>,
+    /// Cold: the program (Compute state machine) of each agent.
+    pub program: Vec<Box<dyn Protocol>>,
     /// Cold: successful traversals per agent.
     pub moves: Vec<u64>,
     /// Cold: activations per agent.
@@ -265,7 +111,7 @@ impl AgentSoA {
     }
 
     /// Appends an agent; its start node is marked visited in its private map.
-    pub(crate) fn push(&mut self, node: NodeId, handedness: Handedness, program: AgentProgram) {
+    pub(crate) fn push(&mut self, node: NodeId, handedness: Handedness, program: Box<dyn Protocol>) {
         self.node.push(node);
         self.held_port.push(None);
         self.terminated.push(false);
@@ -293,14 +139,14 @@ impl AgentSoA {
     /// parallel vector is cleared and refilled (capacity reused — no
     /// allocation when the shape matches a previous run, and vector growth is
     /// the only allocation when it does not), and each agent's program copies
-    /// the template's pristine state through
-    /// [`AgentProgram::clone_from_program`] (falling back to a fresh program
-    /// clone on a representation mismatch). This is the team half of
+    /// the template's pristine state in place (`Clone::clone_from` on the
+    /// box, falling back to a fresh clone on a type mismatch). This is the
+    /// team half of
     /// [`Simulation::recycle`](crate::sim::Simulation::recycle).
     pub(crate) fn reset_from<'a>(
         &mut self,
         ring_size: usize,
-        specs: impl ExactSizeIterator<Item = (NodeId, Handedness, &'a AgentProgram)>,
+        specs: impl ExactSizeIterator<Item = (NodeId, Handedness, &'a Box<dyn Protocol>)>,
     ) {
         let count = specs.len();
         self.ring_size = ring_size;
@@ -337,12 +183,9 @@ impl AgentSoA {
             self.handedness.push(handedness);
             self.poll_termination
                 .push(template.termination_kind() != TerminationKind::Unconscious);
-            if let Some(live) = self.program.get_mut(index) {
-                if !live.clone_from_program(template) {
-                    *live = template.clone_program();
-                }
-            } else {
-                self.program.push(template.clone_program());
+            match self.program.get_mut(index) {
+                Some(live) => live.clone_from(template),
+                None => self.program.push(template.clone()),
             }
             self.visited[index * ring_size + node.index()] = true;
             self.node_population[node.index()] += 1;
@@ -402,7 +245,7 @@ impl AgentSoA {
     /// loop and the batched engine, so [`fill_round_fsync`] and friends run
     /// on exactly the same slices either way.
     #[inline(always)]
-    pub(crate) fn lane_split(&mut self) -> (LaneRef<'_>, &mut [AgentProgram]) {
+    pub(crate) fn lane_split(&mut self) -> (LaneRef<'_>, &mut [Box<dyn Protocol>]) {
         (
             LaneRef {
                 node: &self.node,
@@ -421,7 +264,7 @@ impl AgentSoA {
 
     /// Immutable variant of [`AgentSoA::lane_split`].
     #[inline(always)]
-    pub(crate) fn lane_ref(&self) -> (LaneRef<'_>, &[AgentProgram]) {
+    pub(crate) fn lane_ref(&self) -> (LaneRef<'_>, &[Box<dyn Protocol>]) {
         (
             LaneRef {
                 node: &self.node,
@@ -501,7 +344,7 @@ pub(crate) struct LaneStateMut<'a> {
     pub terminated: &'a mut [bool],
     pub handedness: &'a [Handedness],
     pub prior: &'a mut [PriorOutcome],
-    pub program: &'a mut [AgentProgram],
+    pub program: &'a mut [Box<dyn Protocol>],
     pub moves: &'a mut [u64],
     pub activations: &'a mut [u64],
     pub last_active_round: &'a mut [u64],
@@ -523,32 +366,24 @@ pub(crate) struct LaneStateMut<'a> {
 /// Predicting an agent's decision requires dry-running its (deterministic)
 /// protocol on the upcoming Look snapshot without touching the live instance.
 /// Instead of boxing a fresh clone per agent per round, the pool refreshes a
-/// persistent probe in place; only the first round per agent (or a boxed
-/// protocol that does not support in-place copies) allocates.
-///
-/// The slots hold [`AgentProgram`]s, so the pool follows the engine's
-/// two-representation dispatch story: a catalogue probe refreshes through
-/// the enum's variant-matching `clone_from` — **no `as_any` downcast on any
-/// prediction-fusion tier** — while a boxed probe goes through
-/// [`Protocol::clone_from_box`] exactly as before.
+/// persistent probe in place through [`Protocol::clone_from_box`]; only the
+/// first round per agent (or a protocol that does not support in-place
+/// copies) allocates.
 #[derive(Debug, Default)]
 pub(crate) struct ProbePool {
-    slots: Vec<Option<AgentProgram>>,
+    slots: Vec<Option<Box<dyn Protocol>>>,
 }
 
 impl ProbePool {
     /// Returns the probe for agent `index`, its state refreshed from `src`.
-    pub(crate) fn refresh(&mut self, index: usize, src: &AgentProgram) -> &mut AgentProgram {
+    pub(crate) fn refresh(&mut self, index: usize, src: &dyn Protocol) -> &mut Box<dyn Protocol> {
         if self.slots.len() <= index {
             self.slots.resize_with(index + 1, || None);
         }
         let slot = &mut self.slots[index];
-        let reused = match slot {
-            Some(probe) => probe.clone_from_program(src),
-            None => false,
-        };
-        if !reused {
-            *slot = Some(src.clone_program());
+        match slot {
+            Some(probe) => copy_program(probe, src),
+            None => *slot = Some(src.clone_box()),
         }
         slot.as_mut().expect("slot was just filled")
     }
@@ -557,7 +392,7 @@ impl ProbePool {
     /// *prediction fusion*: after the dry run the probe holds exactly the
     /// post-Compute state of the live protocol, so swapping it in replaces a
     /// second Look + Compute).
-    pub(crate) fn swap(&mut self, index: usize, live: &mut AgentProgram) {
+    pub(crate) fn swap(&mut self, index: usize, live: &mut Box<dyn Protocol>) {
         let probe = self.slots[index].as_mut().expect("probe exists for predicted agents");
         std::mem::swap(probe, live);
     }
@@ -720,7 +555,7 @@ pub(crate) fn fill_agent_views_lane(
     probes: &mut ProbePool,
     ring: &RingTopology,
     lane: &LaneRef<'_>,
-    programs: &[AgentProgram],
+    programs: &[Box<dyn Protocol>],
     round: u64,
     fsync: bool,
     predict: bool,
@@ -733,7 +568,7 @@ pub(crate) fn fill_agent_views_lane(
                 continue;
             }
             let snapshot = build_snapshot_lane(ring, lane, index, round, fsync);
-            let probe = probes.refresh(index, &programs[index]);
+            let probe = probes.refresh(index, programs[index].as_ref());
             *slot = Some(probe.decide(&snapshot));
         }
     }
@@ -788,7 +623,7 @@ pub(crate) fn fill_round_fsync_lane(
     claimed: &mut Vec<(NodeId, GlobalDirection)>,
     ring: &RingTopology,
     lane: &LaneRef<'_>,
-    programs: &mut [AgentProgram],
+    programs: &mut [Box<dyn Protocol>],
     round: u64,
     predict: bool,
 ) {
@@ -987,7 +822,7 @@ mod tests {
     fn team(ring: &RingTopology, agents: &[(usize, Handedness)]) -> AgentSoA {
         let mut soa = AgentSoA::new(ring.size());
         for (node, handedness) in agents {
-            soa.push(NodeId::new(*node), *handedness, AgentProgram::Boxed(Box::new(GoLeft)));
+            soa.push(NodeId::new(*node), *handedness, Box::new(GoLeft));
         }
         soa
     }
@@ -1113,58 +948,52 @@ mod tests {
         }
 
         let mut pool = ProbePool::default();
-        let live = AgentProgram::Boxed(Box::new(Stepper { steps: 5 }));
-        let probe = pool.refresh(0, &live);
+        let live: Box<dyn Protocol> = Box::new(Stepper { steps: 5 });
+        let probe = pool.refresh(0, live.as_ref());
         assert!(probe.state_label().contains("steps: 5"));
         // Mutate the probe, then refresh again: the state is copied back in
         // place (same slot, no mismatch).
         let _ = probe.decide(&build_dummy_snapshot());
-        let probe = pool.refresh(0, &live);
+        let probe = pool.refresh(0, live.as_ref());
         assert!(probe.state_label().contains("steps: 5"));
         // A different protocol type in the same slot falls back to clone_box.
-        let other = AgentProgram::Boxed(Box::new(GoLeft));
-        let probe = pool.refresh(0, &other);
+        let other: Box<dyn Protocol> = Box::new(GoLeft);
+        let probe = pool.refresh(0, other.as_ref());
         assert_eq!(probe.name(), "go-left");
         // Swapping hands the probe to the caller and parks the old live box.
-        let mut live_box = AgentProgram::Boxed(Box::new(Stepper { steps: 9 }));
-        let probe = pool.refresh(1, &live);
+        let mut live_box: Box<dyn Protocol> = Box::new(Stepper { steps: 9 });
+        let probe = pool.refresh(1, live.as_ref());
         let _ = probe.decide(&build_dummy_snapshot());
         pool.swap(1, &mut live_box);
         assert!(live_box.state_label().contains("steps: 6"));
     }
 
     #[test]
-    fn probe_pool_refreshes_catalog_programs_without_downcasts() {
+    fn probe_pool_refreshes_catalog_programs_in_place() {
         use dynring_core::Algorithm;
 
         let mut pool = ProbePool::default();
-        let live = AgentProgram::Catalog(
-            Algorithm::KnownBound { upper_bound: 6 }.instantiate_enum(),
-        );
-        // First refresh fills the slot with an enum clone…
-        let probe = pool.refresh(0, &live);
+        let live = Algorithm::KnownBound { upper_bound: 6 }.instantiate();
+        // First refresh fills the slot with a clone…
+        let probe = pool.refresh(0, live.as_ref());
         assert_eq!(probe.state_label(), live.state_label());
         // …and diverging the probe (two activations: the first only arms the
-        // Ttime counter) then refreshing copies the state back in place
-        // through the variant-matching clone_from.
+        // Ttime counter) then refreshing copies the state back in place.
         let _ = probe.decide(&build_dummy_snapshot());
         let _ = probe.decide(&build_dummy_snapshot());
         assert_ne!(probe.state_label(), live.state_label());
-        let probe = pool.refresh(0, &live);
+        let probe = pool.refresh(0, live.as_ref());
         assert_eq!(probe.state_label(), live.state_label());
-        // A representation switch in the same slot falls back to a fresh
-        // program clone.
-        let boxed = AgentProgram::Boxed(Algorithm::Unconscious.instantiate());
-        let probe = pool.refresh(0, &boxed);
+        // A different algorithm in the same slot falls back to a fresh clone.
+        let probe = pool.refresh(0, Algorithm::Unconscious.instantiate().as_ref());
         assert_eq!(probe.name(), "UnconsciousExploration");
-        // Swapping fuses the post-Compute probe into the live slot, exactly
-        // as on the boxed path.
-        let mut live_enum = AgentProgram::Catalog(Algorithm::EtUnconscious.instantiate_enum());
-        let probe = pool.refresh(1, &live_enum);
+        // Swapping fuses the post-Compute probe into the live slot.
+        let mut live_et = Algorithm::EtUnconscious.instantiate();
+        let probe = pool.refresh(1, live_et.as_ref());
         let _ = probe.decide(&build_dummy_snapshot());
         let advanced = probe.state_label();
-        pool.swap(1, &mut live_enum);
-        assert_eq!(live_enum.state_label(), advanced);
+        pool.swap(1, &mut live_et);
+        assert_eq!(live_et.state_label(), advanced);
     }
 
     fn build_dummy_snapshot() -> Snapshot {

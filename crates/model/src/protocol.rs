@@ -42,17 +42,11 @@ impl fmt::Display for TerminationKind {
 ///   omniscient adversaries in the impossibility proofs do;
 /// * recorded executions can be replayed.
 ///
-/// # Dispatch
+/// # Agent programs
 ///
-/// `Box<dyn Protocol>` is the open extension point: any user-defined type
-/// implementing this trait can join a simulation. A *closed* set of
-/// protocols can additionally be wrapped in an enum that implements
-/// `Protocol` by a static `match` over its variants, trading virtual calls
-/// for inlinable direct dispatch — `dynring_core::CatalogProtocol` does
-/// exactly this for the paper's nine-algorithm catalogue, and the engine
-/// runs both representations side by side (see `docs/ARCHITECTURE.md`,
-/// "The dispatch story"). Nothing in this trait is aware of the
-/// distinction; enum wrappers simply forward every method.
+/// The engine runs every agent, catalogue or user-defined, as a
+/// `Box<dyn Protocol>`: there is one agent-program representation, and any
+/// type implementing this trait can join a simulation.
 ///
 /// # Implementing
 ///
@@ -218,12 +212,28 @@ pub fn clone_state_from<T: Protocol + Clone + 'static>(dst: &mut T, src: &dyn Pr
     }
 }
 
+/// Copies `src`'s full state into `dst`: in place when both are the same
+/// concrete type ([`Protocol::clone_from_box`]), else by replacing `dst`
+/// with a fresh [`Protocol::clone_box`]. This is the one state-copy idiom of
+/// the engine (checkpoints, restores, recycled runs, probes and trace
+/// labels); `Clone::clone_from` on a [`BoxedProtocol`] — and hence
+/// `Vec::clone_from` on a team of them — applies it.
+pub fn copy_program(dst: &mut BoxedProtocol, src: &dyn Protocol) {
+    if !dst.clone_from_box(src) {
+        *dst = src.clone_box();
+    }
+}
+
 /// Owned, type-erased protocol instance.
 pub type BoxedProtocol = Box<dyn Protocol>;
 
 impl Clone for BoxedProtocol {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        copy_program(self, &**source);
     }
 }
 

@@ -55,12 +55,12 @@ pub use dynring_service as service;
 
 pub mod prelude {
     //! The most commonly used items, re-exported for quick scripting.
-    pub use dynring_analysis::scenario::{AdversaryKind, DispatchKind, Scenario, SchedulerKind};
+    pub use dynring_analysis::scenario::{AdversaryKind, Scenario, SchedulerKind};
     pub use dynring_core::fsync::{KnownBound, LandmarkChirality, LandmarkNoChirality, Unconscious};
     pub use dynring_core::ssync::{
         EtUnconscious, PtBoundChirality, PtLandmarkChirality, PtNoChirality,
     };
-    pub use dynring_core::{Algorithm, CatalogProtocol, Counters};
+    pub use dynring_core::{Algorithm, Counters};
     pub use dynring_engine::adversary::{
         AlternatingBlock, BlockAgent, BlockEdgeForever, BlockFirstMover, ConfineWindow,
         FromSchedule, NoRemoval, PreventMeeting, RandomEdge, StickyRandomEdge,
@@ -70,7 +70,6 @@ pub mod prelude {
         RoundRobinSingle,
     };
     pub use dynring_engine::sim::{RunReport, Simulation, StopCondition};
-    pub use dynring_engine::world::AgentProgram;
     pub use dynring_graph::{
         EdgeId, EdgeSchedule, GlobalDirection, Handedness, NodeId, RingTopology, ScheduleBuilder,
     };

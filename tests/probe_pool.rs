@@ -56,19 +56,9 @@ fn drive(protocol: &mut dyn Protocol, seed: u64, rounds: u64) {
     }
 }
 
-/// The full catalogue instantiated for a small ring — once through the boxed
-/// concrete types and once through the statically dispatched
-/// [`CatalogProtocol`](dynring_core::CatalogProtocol) enum (itself a
-/// `Protocol`, so it must satisfy the same state-copy contract when it
-/// crosses a boxed boundary; a boxed enum and a boxed concrete protocol are
-/// different types, so copies between them are rightly refused).
+/// The full catalogue instantiated for a small ring.
 fn catalog() -> Vec<Box<dyn Protocol>> {
-    let algorithms = Algorithm::full_catalog(8);
-    algorithms
-        .iter()
-        .map(Algorithm::instantiate)
-        .chain(algorithms.iter().map(|a| Box::new(a.instantiate_enum()) as Box<dyn Protocol>))
-        .collect()
+    Algorithm::full_catalog(8).iter().map(Algorithm::instantiate).collect()
 }
 
 proptest! {
