@@ -15,6 +15,10 @@
 
 use crate::scenario::{Scenario, ScenarioBatchRunner};
 use dynring_engine::sim::RunReport;
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -273,6 +277,68 @@ impl Default for BatchRunner {
     }
 }
 
+/// Interns identical battery cells, so a battery runs each distinct cell
+/// once.
+///
+/// Batteries repeat cells: a sweep rebuilds every seed-independent
+/// adversary (`Static`, `BlockForever`, ...) once per seed, an FSYNC
+/// [`Scenario`] carries no seed of its own, and an SSYNC one's seed only
+/// feeds the sticky adversary the sweep replaces. The key of a cell is a
+/// 64-bit hash of its `Debug` form, streamed into the hasher without
+/// building a `String`. A key hit is reused only when [`Scenario`]'s `PartialEq` holds
+/// too (the equality `ScenarioRunner`'s spec cache already trusts), so a
+/// hash collision costs at most an extra distinct cell, never a wrong
+/// reuse. Cells are interned while a battery is enumerated, so a repeat is
+/// never stored.
+pub(crate) struct CellInterner {
+    cells: Vec<Scenario>,
+    first: HashMap<u64, usize>,
+}
+
+impl CellInterner {
+    pub(crate) fn new() -> Self {
+        CellInterner { cells: Vec::new(), first: HashMap::new() }
+    }
+
+    /// The index of `cell` among the distinct cells: that of the first
+    /// equal cell interned (`cell` itself is dropped), or the next free
+    /// index, at which `cell` is stored.
+    pub(crate) fn intern(&mut self, cell: Scenario) -> usize {
+        let next = self.cells.len();
+        match self.first.entry(debug_hash(&cell)) {
+            Entry::Occupied(hit) if self.cells[*hit.get()] == cell => {
+                return *hit.get();
+            }
+            // A hash collision: keep `cell` as a distinct cell of its own.
+            Entry::Occupied(_) => {}
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+            }
+        }
+        self.cells.push(cell);
+        next
+    }
+
+    /// The distinct cells, in order of first occurrence.
+    pub(crate) fn cells(&self) -> &[Scenario] {
+        &self.cells
+    }
+}
+
+/// The 64-bit hash of a cell's `Debug` form.
+fn debug_hash(cell: &Scenario) -> u64 {
+    struct HashWriter(DefaultHasher);
+    impl fmt::Write for HashWriter {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut writer = HashWriter(DefaultHasher::new());
+    write!(writer, "{cell:?}").expect("hashing a Debug form cannot fail");
+    writer.0.finish()
+}
+
 /// Parses a `DYNRING_THREADS`-style value: a positive integer, rejecting
 /// everything else with a human-readable message (the strict core behind
 /// [`BatchRunner::from_env`], split out so it can be tested without touching
@@ -388,7 +454,96 @@ pub fn group_ranges<T>(
 mod tests {
     use super::*;
     use crate::scenario::{AdversaryKind, ScenarioRunner};
+    use crate::sweeps::{for_each_cell, PlacementDensity};
     use dynring_core::Algorithm;
+    use dynring_graph::Handedness;
+
+    /// The cells of a `--huge` battery (4 seeds, dense placements).
+    fn huge_battery(
+        make: impl Fn(usize) -> Algorithm,
+        sizes: &[usize],
+        ssync: bool,
+    ) -> Vec<Scenario> {
+        let mut cells = Vec::new();
+        for_each_cell(make, sizes, 4, ssync, PlacementDensity::Dense, |_, _, cell| {
+            cells.push(cell);
+        });
+        cells
+    }
+
+    #[test]
+    fn the_huge_landmark_battery_interns_to_half_its_cells() {
+        // Theorem 8's row of the `--huge` Table 2 at n = 128: the four
+        // seed-independent adversaries repeat once per seed.
+        let cells = huge_battery(|_| Algorithm::LandmarkNoChirality, &[128], false);
+        let mut distinct = CellInterner::new();
+        let slots: Vec<usize> = cells.iter().map(|cell| distinct.intern(cell.clone())).collect();
+        assert_eq!((distinct.cells().len(), cells.len()), (216, 432));
+        // Every slot maps to its cell's first occurrence, and distinct cells
+        // are numbered in order of first occurrence.
+        let mut introduced = 0;
+        for (index, cell) in cells.iter().enumerate() {
+            let first = cells.iter().position(|c| c == cell).expect("cell is in the battery");
+            if first == index {
+                assert_eq!(slots[index], introduced);
+                introduced += 1;
+            } else {
+                assert_eq!(slots[index], slots[first]);
+            }
+            assert_eq!(&distinct.cells()[slots[index]], cell);
+        }
+    }
+
+    #[test]
+    fn the_huge_table4_batteries_intern_to_half_their_cells() {
+        // An SSYNC cell's own seed only feeds the sticky adversary that the
+        // battery replaces, and its schedulers carry none, so the
+        // seed-independent adversaries repeat once per seed here too.
+        let sizes = [6, 9, 12, 16];
+        let table4: [&dyn Fn(usize) -> Algorithm; 6] = [
+            &|n| Algorithm::PtBoundChirality { upper_bound: n },
+            &|_| Algorithm::PtLandmarkChirality,
+            &|n| Algorithm::PtBoundNoChirality { upper_bound: n },
+            &|_| Algorithm::PtLandmarkNoChirality,
+            &|n| Algorithm::EtBoundNoChirality { ring_size: n },
+            &|_| Algorithm::EtUnconscious,
+        ];
+        let counts: Vec<(usize, usize)> = table4
+            .iter()
+            .map(|make| {
+                let cells = huge_battery(make, &sizes, true);
+                let mut distinct = CellInterner::new();
+                for cell in &cells {
+                    distinct.intern(cell.clone());
+                }
+                (distinct.cells().len(), cells.len())
+            })
+            .collect();
+        let pinned = [(432, 864), (432, 864), (864, 1728), (864, 1728), (864, 1728), (432, 864)];
+        assert_eq!(counts, pinned);
+    }
+
+    #[test]
+    fn near_duplicate_cells_stay_distinct() {
+        let base = Scenario::fsync(8, Algorithm::KnownBound { upper_bound: 8 })
+            .with_adversary(AdversaryKind::Random { p: 0.7, seed: 3 });
+        let near = [
+            base.clone().with_adversary(AdversaryKind::Random {
+                p: f64::from_bits(0.7f64.to_bits() + 1),
+                seed: 3,
+            }),
+            base.clone().with_trace(),
+            base.clone().with_orientations(vec![Handedness::LeftIsCw, Handedness::LeftIsCcw]),
+            base.clone().with_max_rounds(base.max_rounds + 1),
+        ];
+        let mut distinct = CellInterner::new();
+        assert_eq!(distinct.intern(base.clone()), 0);
+        for (index, cell) in near.iter().enumerate() {
+            assert_eq!(distinct.intern(cell.clone()), index + 1, "{cell:?}");
+        }
+        assert_eq!(distinct.intern(base), 0);
+        assert_eq!(distinct.cells().len(), 1 + near.len());
+    }
 
     #[test]
     fn results_come_back_in_input_order() {

@@ -17,7 +17,9 @@ pub struct RowResult {
     pub observed: String,
     /// Whether the measurement is consistent with the paper's claim.
     pub holds: bool,
-    /// Number of individual runs aggregated into this row.
+    /// Number of individual runs aggregated into this row. For a sweep row
+    /// this counts battery cells: identical cells execute once and share
+    /// their report, but each still counts here.
     pub runs: usize,
 }
 
@@ -80,7 +82,8 @@ pub struct SweepPoint {
     pub worst_termination: u64,
     /// Worst observed total number of edge traversals.
     pub worst_moves: u64,
-    /// Number of runs behind this point.
+    /// Number of battery cells behind this point. Identical cells execute
+    /// once and share their report, but each still counts here.
     pub runs: usize,
 }
 

@@ -6,9 +6,9 @@
 //! these are the quantities the paper's bounds (`3N − 6`, `O(n)`,
 //! `O(n log n)`, `O(N²)`, `O(n²)`) speak about.
 
-use crate::batch::{batch_lanes_from_env, group_ranges, BatchRunner};
+use crate::batch::{BatchRunner, CellInterner};
 use crate::report::SweepPoint;
-use crate::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner};
+use crate::scenario::{AdversaryKind, Scenario};
 use dynring_core::fsync::LandmarkNoChirality;
 use dynring_core::Algorithm;
 use dynring_engine::sim::StopCondition;
@@ -213,11 +213,7 @@ pub fn sweep_ssync_battery(
     sweep_battery(runner, make_algorithm, sizes, seeds, true, density)
 }
 
-/// Enumerates the whole battery up front (in the canonical deterministic
-/// order: sizes → seeds → adversaries → placements → orientations), fans the
-/// independent runs across the runner's threads, and folds the reports back
-/// in enumeration order. Because the runner merges results in input order,
-/// the outcome is bit-identical whatever the thread count.
+/// Sweeps one battery in the standard placement density.
 fn sweep(
     runner: &BatchRunner,
     make_algorithm: impl Fn(usize) -> Algorithm,
@@ -228,16 +224,17 @@ fn sweep(
     sweep_battery(runner, make_algorithm, sizes, seeds, ssync, PlacementDensity::Standard)
 }
 
-fn sweep_battery(
-    runner: &BatchRunner,
+/// Enumerates a battery in the canonical deterministic order (sizes →
+/// seeds → adversaries → placements → orientations), handing every cell to
+/// `visit` with its ring-size index and algorithm.
+pub(crate) fn for_each_cell(
     make_algorithm: impl Fn(usize) -> Algorithm,
     sizes: &[usize],
     seeds: u64,
     ssync: bool,
     density: PlacementDensity,
-) -> SweepOutcome {
-    let mut meta: Vec<(usize, Algorithm)> = Vec::new();
-    let mut scenarios: Vec<Scenario> = Vec::new();
+    mut visit: impl FnMut(usize, Algorithm, Scenario),
+) {
     for (size_index, &n) in sizes.iter().enumerate() {
         let algorithm = make_algorithm(n);
         for seed in 0..seeds {
@@ -263,28 +260,35 @@ fn sweep_battery(
                             .with_adversary(adversary.clone())
                             .with_stop(stop)
                             .with_max_rounds(round_budget(&algorithm, n));
-                        meta.push((size_index, algorithm));
-                        scenarios.push(scenario);
+                        visit(size_index, algorithm, scenario);
                     }
                 }
             }
         }
     }
+}
 
-    // Consecutive same-shape cells (the common case: a battery fixes size
-    // and algorithm while rotating adversaries/placements/orientations) ride
-    // the engine's batched lockstep path as one lane group per range; each
-    // worker thread drives its share of the ranges through one recycled
-    // `ScenarioBatchRunner`. Merging in input order keeps the outcome
-    // bit-identical to the solo cell-by-cell path.
-    let ranges = group_ranges(&scenarios, |scenario| scenario, batch_lanes_from_env());
-    let reports: Vec<_> = runner
-        .run_map_with(&ranges, ScenarioBatchRunner::new, |worker, range| {
-            worker.run_group(&scenarios[range.clone()])
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+/// Enumerates the battery, interning identical cells as it goes (a
+/// seed-independent cell repeats once per seed; only its first occurrence
+/// is stored), runs the distinct cells through the runner and folds the
+/// reports back in enumeration order, each cell reading the report of its
+/// distinct cell. The runner merges results in input order, so the outcome
+/// is bit-identical whatever the thread count.
+fn sweep_battery(
+    runner: &BatchRunner,
+    make_algorithm: impl Fn(usize) -> Algorithm,
+    sizes: &[usize],
+    seeds: u64,
+    ssync: bool,
+    density: PlacementDensity,
+) -> SweepOutcome {
+    // (ring-size index, algorithm, distinct-cell index) per battery cell.
+    let mut meta: Vec<(usize, Algorithm, usize)> = Vec::new();
+    let mut distinct = CellInterner::new();
+    for_each_cell(make_algorithm, sizes, seeds, ssync, density, |size_index, algorithm, cell| {
+        meta.push((size_index, algorithm, distinct.intern(cell)));
+    });
+    let reports = runner.run_reports(distinct.cells());
 
     let mut points: Vec<SweepPoint> = sizes
         .iter()
@@ -298,7 +302,8 @@ fn sweep_battery(
         .collect();
     let mut all_explored = true;
     let mut all_terminated = true;
-    for ((size_index, algorithm), report) in meta.iter().zip(&reports) {
+    for (size_index, algorithm, slot) in &meta {
+        let report = &reports[*slot];
         let point = &mut points[*size_index];
         point.runs += 1;
         all_explored &= report.explored();

@@ -120,7 +120,7 @@ pub fn run(config: &MapConfig) -> bool {
     let t4 = tables::table4_battery(&runner, &config.ssync_sizes, config.seeds, config.density);
     println!("{}", markdown_table("Table 4 — SSYNC possibility results", &t4));
 
-    let figs = figures::all_figures(config.figures_n);
+    let figs = figures::all_figures_with(&runner, config.figures_n);
     println!("{}", markdown_table("Figures 2, 5–7, 12, 15, 16", &figs));
 
     let mut lb = vec![lower_bounds::theorem4(config.lower_bound_n)];
