@@ -16,7 +16,9 @@ use dynring_engine::scheduler::{
     ActivationPolicy, AlternateBlocked, EtFairness, FirstMoverOnly, FullActivation, RandomSubset,
     RoundRobinSingle,
 };
-use dynring_engine::sim::{AgentSpec, RunReport, RunSpec, Simulation, StopCondition};
+use dynring_engine::sim::{
+    AgentSpec, CruiseStats, RunReport, RunSpec, Simulation, StopCondition,
+};
 use dynring_engine::sim_batch::{BatchLane, SimBatch};
 use dynring_engine::trace::Trace;
 use dynring_graph::{AgentId, EdgeId, EdgeSchedule, Handedness, NodeId, RingTopology};
@@ -500,6 +502,12 @@ impl ScenarioRunner {
         self.sim.as_ref().and_then(Simulation::trace)
     }
 
+    /// The cruise windows the last run played ([`Simulation::cruise_stats`]).
+    #[must_use]
+    pub fn cruise_stats(&self) -> CruiseStats {
+        self.sim.as_ref().map(Simulation::cruise_stats).unwrap_or_default()
+    }
+
     /// Readies the held simulation for a run of `scenario` at round zero.
     fn prepare(&mut self, scenario: &Scenario) -> &mut Simulation {
         if self.compiled_from.as_ref() == Some(scenario) {
@@ -546,6 +554,8 @@ pub struct ScenarioBatchRunner {
     batch: SimBatch,
     compiled_from: Vec<Scenario>,
     reports: Vec<RunReport>,
+    /// Per-cell cruise-window counters of the last group.
+    cruise: Vec<CruiseStats>,
     solo: ScenarioRunner,
     /// Whether the last group ran through the solo fallback (singletons).
     last_solo: bool,
@@ -609,8 +619,10 @@ impl ScenarioBatchRunner {
             if self.reports.len() < b {
                 self.reports.resize_with(b, RunReport::default);
             }
+            self.cruise.clear();
             for (lane, scenario) in group.iter().enumerate() {
                 self.solo.run_into(scenario, &mut self.reports[lane]);
+                self.cruise.push(self.solo.cruise_stats());
             }
             return &self.reports[..b];
         }
@@ -637,7 +649,16 @@ impl ScenarioBatchRunner {
             self.compiled_from.extend_from_slice(group);
         }
         self.batch.run_into(first.max_rounds, first.stop, &mut self.reports);
+        self.cruise.clear();
+        self.cruise.extend((0..b).map(|lane| self.batch.cruise_stats(lane)));
         &self.reports[..b]
+    }
+
+    /// The cruise windows cell `index` of the last group played — equal to
+    /// what a solo run of the cell reports, whichever path executed it.
+    #[must_use]
+    pub fn cruise_stats(&self, index: usize) -> CruiseStats {
+        self.cruise.get(index).copied().unwrap_or_default()
     }
 
     /// The trace recorded by cell `index` of the last group, if that cell's

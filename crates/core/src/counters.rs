@@ -23,7 +23,7 @@
 //!   stands on the landmark with a net offset different from the offset of
 //!   its first landmark visit; the absolute difference is exactly `n`.
 
-use dynring_model::{Decision, LocalDirection, PriorOutcome, Snapshot};
+use dynring_model::{CruiseLog, Decision, LocalDirection, PriorOutcome, Snapshot};
 use serde::{Deserialize, Serialize};
 
 /// Per-agent bookkeeping shared by all algorithms of the paper.
@@ -110,22 +110,7 @@ impl Counters {
         } else {
             self.activated = true;
         }
-
-        match snapshot.prior {
-            PriorOutcome::Moved | PriorOutcome::Transported => {
-                if let Some(dir) = self.last_attempt {
-                    self.apply_step(dir);
-                }
-                self.btime = 0;
-            }
-            PriorOutcome::BlockedOnPort => {
-                self.btime += 1;
-            }
-            PriorOutcome::PortAcquisitionFailed => {
-                self.btime = 0;
-            }
-            PriorOutcome::Idle => {}
-        }
+        self.absorb_prior(snapshot.prior);
 
         if snapshot.is_landmark {
             match self.landmark_ref {
@@ -139,16 +124,68 @@ impl Counters {
         }
     }
 
-    fn apply_step(&mut self, dir: LocalDirection) {
+    /// The outcome half of [`Counters::absorb`].
+    fn absorb_prior(&mut self, prior: PriorOutcome) {
+        match prior {
+            PriorOutcome::Moved | PriorOutcome::Transported => {
+                if let Some(dir) = self.last_attempt {
+                    self.apply_steps(dir, 1);
+                }
+                self.btime = 0;
+            }
+            PriorOutcome::BlockedOnPort => {
+                self.btime += 1;
+            }
+            PriorOutcome::PortAcquisitionFailed => {
+                self.btime = 0;
+            }
+            PriorOutcome::Idle => {}
+        }
+    }
+
+    /// `steps` successful traversals in direction `dir`. The walk is
+    /// monotone, so the offset interval only grows at its far end.
+    fn apply_steps(&mut self, dir: LocalDirection, steps: u64) {
         let delta = match dir {
-            LocalDirection::Right => 1,
-            LocalDirection::Left => -1,
+            LocalDirection::Right => steps as i64,
+            LocalDirection::Left => -(steps as i64),
         };
         self.offset += delta;
         self.min_offset = self.min_offset.min(self.offset);
         self.max_offset = self.max_offset.max(self.offset);
-        self.esteps += 1;
-        self.tsteps += 1;
+        self.esteps += steps;
+        self.tsteps += steps;
+    }
+
+    /// Closed form of a cruise window (see
+    /// [`Protocol::advance_cruise`](dynring_model::Protocol::advance_cruise)):
+    /// the same state as `log.activations` rounds of [`Counters::absorb`]
+    /// followed by [`Counters::record_decision`]`(Move(dir))`. Time counters
+    /// advance by the activation count, offsets and steps by the move count,
+    /// and `Btime` ends at the trailing blocked run.
+    ///
+    /// Requires the ring size to be known: from then on a landmark sighting
+    /// changes nothing, so the closed form does not need the positions.
+    pub fn advance_cruise(&mut self, dir: LocalDirection, log: &CruiseLog) {
+        if log.activations == 0 {
+            return;
+        }
+        debug_assert!(self.known_size.is_some(), "a cruise needs the ring size to be known");
+        debug_assert!(log.moves + log.trailing_blocked < log.activations);
+        debug_assert!(log.moves > 0 || log.trailing_blocked == log.activations - 1);
+        let ticks = if self.activated { log.activations } else { log.activations - 1 };
+        self.activated = true;
+        self.ttime += ticks;
+        self.etime += ticks;
+        self.ntime += ticks;
+        self.absorb_prior(log.first_prior);
+        if log.moves > 0 {
+            self.apply_steps(dir, log.moves);
+            self.btime = log.trailing_blocked;
+        } else {
+            self.btime += log.trailing_blocked;
+        }
+        self.last_attempt = Some(dir);
     }
 
     /// Records the decision returned by the current activation so that the
@@ -443,6 +480,90 @@ mod tests {
         c.record_decision(Decision::Move(LocalDirection::Right));
         c.record_decision(Decision::Terminate);
         assert_eq!(c.last_attempt(), None);
+    }
+
+    const PRIORS: [PriorOutcome; 4] = [
+        PriorOutcome::Moved,
+        PriorOutcome::BlockedOnPort,
+        PriorOutcome::PortAcquisitionFailed,
+        PriorOutcome::Idle,
+    ];
+
+    fn direction(left: bool) -> LocalDirection {
+        if left {
+            LocalDirection::Left
+        } else {
+            LocalDirection::Right
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The cruise closed form equals `k` sequential activations that
+        /// each absorb one outcome and record `Move(dir)`: any first prior,
+        /// any `Moved`/`BlockedOnPort` tail, either direction, and a
+        /// pre-window direction that may differ from the cruise's.
+        #[test]
+        fn cruise_closed_form_matches_sequential_activations(
+            n in 3u64..10,
+            history in proptest::prelude::any::<u64>(),
+            last_left in proptest::prelude::any::<bool>(),
+            dir_left in proptest::prelude::any::<bool>(),
+            first in 0usize..4,
+            activations in 1u64..48,
+            tail in proptest::prelude::any::<u64>(),
+            landmarks in proptest::prelude::any::<u64>(),
+        ) {
+            // Learn n by looping once around a ring from the landmark, then
+            // wander for a few random activations so offsets, `Btime` and
+            // the `E` counters start anywhere.
+            let mut c = Counters::new();
+            c.absorb(&snap(PriorOutcome::Idle, true));
+            for i in 1..=n {
+                step(&mut c, LocalDirection::Right, PriorOutcome::Moved, i == n);
+            }
+            for bit in 0..(history % 16) {
+                let outcome = PRIORS[((history >> (4 + 2 * bit)) & 3) as usize];
+                step(&mut c, direction((history >> bit) & 1 == 1), outcome, false);
+                if bit == 5 {
+                    c.reset_explore();
+                }
+            }
+            c.record_decision(Decision::Move(direction(last_left)));
+            let dir = direction(dir_left);
+
+            let outcomes: Vec<PriorOutcome> = (0..activations)
+                .map(|j| {
+                    if j == 0 {
+                        PRIORS[first]
+                    } else if (tail >> (j % 64)) & 1 == 1 {
+                        PriorOutcome::Moved
+                    } else {
+                        PriorOutcome::BlockedOnPort
+                    }
+                })
+                .collect();
+            let mut sequential = c.clone();
+            for (j, outcome) in outcomes.iter().enumerate() {
+                sequential.absorb(&snap(*outcome, (landmarks >> (j % 64)) & 1 == 1));
+                sequential.record_decision(Decision::Move(dir));
+            }
+
+            let later = &outcomes[1..];
+            let moves = later.iter().filter(|o| **o == PriorOutcome::Moved).count() as u64;
+            let trailing_blocked = later
+                .iter()
+                .rev()
+                .take_while(|o| **o == PriorOutcome::BlockedOnPort)
+                .count() as u64;
+            let mut closed = c.clone();
+            closed.advance_cruise(
+                dir,
+                &CruiseLog { activations, first_prior: PRIORS[first], moves, trailing_blocked },
+            );
+            proptest::prop_assert_eq!(closed, sequential);
+        }
     }
 
     #[test]

@@ -24,7 +24,9 @@
 use crate::counters::Counters;
 use crate::fsync::dirseq::DirectionSequence;
 use crate::fsync::ident::AgentIdentifier;
-use dynring_model::{Decision, LocalDirection, Protocol, Snapshot, TerminationKind};
+use dynring_model::{
+    Cruise, CruiseLog, Decision, LocalDirection, Protocol, Snapshot, TerminationKind,
+};
 use serde::{Deserialize, Serialize};
 
 /// States of Figures 8 and 13 (`Ready` is transient and therefore not
@@ -595,6 +597,27 @@ impl Protocol for LandmarkNoChirality {
         )
     }
 
+    /// `Happy`, and `Reverse` once `n` is known, do nothing but move on
+    /// until the termination bound while no other agent shares the node.
+    /// `Happy` terminates once `Ttime > bound` and `Reverse` once
+    /// `Ttime ≥ bound`, and each activation first advances `Ttime` by one,
+    /// so the promise stops one activation short of the terminating one.
+    fn cruise(&self) -> Option<Cruise> {
+        let bound = Self::termination_bound(self.counters.known_size()?);
+        let left = bound.saturating_sub(self.counters.ttime());
+        let activations = match self.state {
+            LnState::Happy => left,
+            LnState::Reverse => left.saturating_sub(1),
+            _ => return None,
+        };
+        (activations > 0).then_some(Cruise { dir: self.dir, activations })
+    }
+
+    fn advance_cruise(&mut self, log: &CruiseLog) {
+        debug_assert!(self.cruise().is_some_and(|c| log.activations <= c.activations));
+        self.counters.advance_cruise(self.dir, log);
+    }
+
     fn write_state_key(&self, out: &mut Vec<u8>) -> bool {
         use dynring_model::statekey::{push_opt_u64, push_u64};
         out.push(match self.state {
@@ -836,6 +859,139 @@ mod tests {
         };
         assert_eq!(a.decide(&caught), Decision::Move(LocalDirection::Left));
         assert_eq!(a.state(), LnState::Forward);
+    }
+
+    /// One agent alone on a ring of `n` nodes with the landmark at node 0:
+    /// its position (in its own frame), held port and pending outcome.
+    #[derive(Clone)]
+    struct LoneRing {
+        n: i64,
+        pos: i64,
+        held: Option<LocalDirection>,
+        prior: PriorOutcome,
+    }
+
+    impl LoneRing {
+        fn new(n: i64, pos: i64) -> Self {
+            LoneRing { n, pos, held: None, prior: PriorOutcome::Idle }
+        }
+
+        /// One activation; a move is blocked when `blocked` says so.
+        fn activate(&mut self, agent: &mut LandmarkNoChirality, blocked: bool) -> Decision {
+            let snapshot = Snapshot {
+                position: self.held.map_or(LocalPosition::InNode, LocalPosition::OnPort),
+                is_landmark: self.pos.rem_euclid(self.n) == 0,
+                occupancy: NodeOccupancy::default(),
+                prior: self.prior,
+                round_hint: None,
+            };
+            let decision = agent.decide(&snapshot);
+            self.held = None;
+            self.prior = PriorOutcome::Idle;
+            if let Decision::Move(dir) = decision {
+                if blocked {
+                    self.held = Some(dir);
+                    self.prior = PriorOutcome::BlockedOnPort;
+                } else {
+                    self.pos += if dir == LocalDirection::Right { 1 } else { -1 };
+                    self.prior = PriorOutcome::Moved;
+                }
+            }
+            decision
+        }
+    }
+
+    fn key(agent: &LandmarkNoChirality) -> Vec<u8> {
+        let mut out = Vec::new();
+        assert!(agent.write_state_key(&mut out));
+        out
+    }
+
+    /// `advance_cruise` leaves the same state as the activations it
+    /// replaces, for window lengths up to and including the last activation
+    /// before the terminating one, which then terminates on both sides.
+    fn check_cruise_matches_decides(
+        agent: &LandmarkNoChirality,
+        ring: &LoneRing,
+        blocks: u64,
+    ) {
+        let promised = agent.cruise().expect("the agent cruises").activations;
+        for activations in [1, 2, 3, 17, promised / 2, promised - 1, promised] {
+            let mut stepped = agent.clone();
+            let mut walk = ring.clone();
+            let first_prior = walk.prior;
+            let (mut moves, mut trailing_blocked) = (0, 0);
+            for j in 0..activations {
+                if j > 0 {
+                    if walk.prior == PriorOutcome::Moved {
+                        moves += 1;
+                        trailing_blocked = 0;
+                    } else {
+                        trailing_blocked += 1;
+                    }
+                }
+                let blocked = (blocks >> (j % 64)) & 1 == 1;
+                assert_eq!(walk.activate(&mut stepped, blocked), Decision::Move(agent.dir));
+            }
+            let mut cruised = agent.clone();
+            cruised.advance_cruise(&CruiseLog {
+                activations,
+                first_prior,
+                moves,
+                trailing_blocked,
+            });
+            assert_eq!(key(&cruised), key(&stepped), "{:?} after {activations}", agent.state);
+            if activations == promised {
+                assert_eq!(cruised.cruise(), None);
+                let mut twin = walk.clone();
+                assert_eq!(walk.activate(&mut stepped, false), Decision::Terminate);
+                assert_eq!(twin.activate(&mut cruised, false), Decision::Terminate);
+            }
+        }
+    }
+
+    #[test]
+    fn advance_cruise_equals_the_activations_it_replaces_in_happy() {
+        let n = 5;
+        let mut agent = LandmarkNoChirality::new();
+        let mut ring = LoneRing::new(n, 0);
+        while agent.state() != LnState::Happy {
+            assert_eq!(agent.cruise(), None);
+            let _ = ring.activate(&mut agent, false);
+        }
+        // A block before the window makes the first absorbed outcome
+        // `BlockedOnPort`; without it the window starts on a `Moved`.
+        check_cruise_matches_decides(&agent, &ring, 0x00f0_0f0f_3355_aa01);
+        let _ = ring.activate(&mut agent, true);
+        check_cruise_matches_decides(&agent, &ring, 0x1234_5678_9abc_def0);
+    }
+
+    #[test]
+    fn advance_cruise_equals_the_activations_it_replaces_in_reverse() {
+        let n = 5;
+        let mut agent = LandmarkNoChirality::new();
+        let mut ring = LoneRing::new(n, 2);
+        // Blocked in round 2 (Init -> FirstBlock), walk right onto the
+        // landmark (AtLandmark), blocked twice (Ready -> Reverse), then walk
+        // unobstructed until a loop around the landmark teaches n.
+        let _ = ring.activate(&mut agent, false);
+        let _ = ring.activate(&mut agent, true);
+        while agent.state() != LnState::AtLandmark {
+            let _ = ring.activate(&mut agent, false);
+        }
+        let _ = ring.activate(&mut agent, true);
+        let _ = ring.activate(&mut agent, true);
+        assert_eq!(agent.state(), LnState::Reverse);
+        for _ in 0..10_000 {
+            if agent.counters().knows_size() {
+                break;
+            }
+            assert_eq!(agent.cruise(), None);
+            let _ = ring.activate(&mut agent, false);
+        }
+        assert_eq!(agent.state(), LnState::Reverse);
+        assert_eq!(agent.counters().known_size(), Some(n as u64));
+        check_cruise_matches_decides(&agent, &ring, 0x0ff0_f00f_5a5a_a5a5);
     }
 
     #[test]

@@ -68,6 +68,38 @@ pub trait EdgePolicy: Send {
     /// restores the RNG from its original seed; the default no-op is only
     /// correct for stateless policies.
     fn reset(&mut self) {}
+
+    /// How many rounds, starting with round `round`, the policy declares it
+    /// removes nothing — a promise the engine may use to jump a cruise
+    /// window (see `docs/ARCHITECTURE.md`, "Cruise windows") across those
+    /// rounds in one step instead of calling
+    /// [`select`](EdgePolicy::select) once per round. After a non-zero
+    /// answer the engine either calls [`skip_quiet`](EdgePolicy::skip_quiet)
+    /// with at most that many rounds or resumes calling `select` at `round`;
+    /// both must leave the policy exactly where the same number of `select`
+    /// calls returning `None` would.
+    ///
+    /// The engine only jumps rounds in which every live agent is alone at
+    /// its node, is active and moves, and it never jumps over a round after
+    /// which two agents would stand on one node. A policy whose `select`
+    /// returns `None` under those conditions may declare them quiet even if
+    /// it is not edge-free in general.
+    ///
+    /// The default (`0`) declares nothing quiet, so the engine calls
+    /// `select` every round.
+    fn quiet_rounds(&mut self, round: u64, ring_size: usize) -> u64 {
+        let _ = (round, ring_size);
+        0
+    }
+
+    /// Advances the policy over `rounds` rounds that a preceding
+    /// [`quiet_rounds`](EdgePolicy::quiet_rounds) call declared quiet, as
+    /// if [`select`](EdgePolicy::select) had been called (and had returned
+    /// `None`) once per round. The default does nothing, which is right for
+    /// policies whose `select` keeps no per-round state.
+    fn skip_quiet(&mut self, rounds: u64) {
+        let _ = rounds;
+    }
 }
 
 /// Never removes an edge (static ring).
@@ -85,6 +117,10 @@ impl EdgePolicy for NoRemoval {
 
     fn needs_predictions(&self) -> bool {
         false
+    }
+
+    fn quiet_rounds(&mut self, _round: u64, _ring_size: usize) -> u64 {
+        u64::MAX
     }
 }
 
@@ -226,20 +262,28 @@ impl StickyRandomEdge {
     }
 }
 
+impl StickyRandomEdge {
+    /// Draws the next episode if the current one is used up — exactly the
+    /// draws [`select`](EdgePolicy::select) makes at the start of a round.
+    fn ensure_episode(&mut self, ring_size: usize) {
+        if self.remaining == 0 {
+            self.remaining = self.rng.gen_range(self.min_hold..=self.max_hold);
+            self.current = if self.rng.gen_bool(self.present_probability) {
+                None
+            } else {
+                Some(EdgeId::new(self.rng.gen_range(0..ring_size)))
+            };
+        }
+    }
+}
+
 impl EdgePolicy for StickyRandomEdge {
     fn name(&self) -> &'static str {
         "sticky-random-edge"
     }
 
     fn select(&mut self, view: &RoundView<'_>, _active: &[AgentId]) -> Option<EdgeId> {
-        if self.remaining == 0 {
-            self.remaining = self.rng.gen_range(self.min_hold..=self.max_hold);
-            self.current = if self.rng.gen_bool(self.present_probability) {
-                None
-            } else {
-                Some(EdgeId::new(self.rng.gen_range(0..view.ring.size())))
-            };
-        }
+        self.ensure_episode(view.ring.size());
         self.remaining -= 1;
         self.current
     }
@@ -252,6 +296,24 @@ impl EdgePolicy for StickyRandomEdge {
         self.current = None;
         self.remaining = 0;
         self.rng = StdRng::seed_from_u64(self.seed);
+    }
+
+    /// The rest of the current episode when it removes no edge. A used-up
+    /// episode is replaced first, lazily, with the draws `select` would
+    /// make at the start of `round`; a later `select` then plays that same
+    /// episode.
+    fn quiet_rounds(&mut self, _round: u64, ring_size: usize) -> u64 {
+        self.ensure_episode(ring_size);
+        if self.current.is_none() {
+            self.remaining
+        } else {
+            0
+        }
+    }
+
+    fn skip_quiet(&mut self, rounds: u64) {
+        debug_assert!(self.current.is_none() && rounds <= self.remaining);
+        self.remaining -= rounds;
     }
 }
 
@@ -371,6 +433,14 @@ impl EdgePolicy for PreventMeeting {
         // (the case-1 disjunction is already true for inactive agents), so
         // a sleeper's placeholder `Stay` can never change the selection.
         false
+    }
+
+    /// Every round the engine may jump is quiet here: it only jumps rounds
+    /// in which every live agent moves (so case 1 has no agent staying put)
+    /// and after which no two agents share a node (so case 2 has no two
+    /// movers converging). The selection keeps no state across rounds.
+    fn quiet_rounds(&mut self, _round: u64, _ring_size: usize) -> u64 {
+        u64::MAX
     }
 }
 
@@ -642,6 +712,95 @@ mod tests {
         }
         // With a hold of exactly 3 rounds, at most ceil(12/3) = 4 distinct episodes.
         assert!(switches <= 4, "too many switches: {switches}");
+    }
+
+    /// Plays `rounds` rounds of `policy` on `view`'s agents, jumping
+    /// declared-quiet stretches whenever `jump(round)` says so (by at most
+    /// `jump(round)` rounds), and returns the edge of every round.
+    fn edges_with_quiet_jumps(
+        policy: &mut dyn EdgePolicy,
+        agents: &[AgentView],
+        ring: &RingTopology,
+        rounds: u64,
+        jump: impl Fn(u64) -> u64,
+    ) -> Vec<Option<EdgeId>> {
+        let visited = vec![true; ring.size()];
+        let ids: Vec<AgentId> = agents.iter().map(|a| a.id).collect();
+        let mut out = Vec::new();
+        let mut round = 1;
+        while round <= rounds {
+            let wanted = jump(round).min(rounds - round + 1);
+            if wanted > 0 {
+                let quiet = policy.quiet_rounds(round, ring.size());
+                if quiet > 0 {
+                    let skipped = quiet.min(wanted);
+                    policy.skip_quiet(skipped);
+                    out.extend((0..skipped).map(|_| None));
+                    round += skipped;
+                    continue;
+                }
+            }
+            let view =
+                RoundView { round, ring, agents: agents.to_vec().into(), visited: &visited };
+            out.push(policy.select(&view, &ids));
+            round += 1;
+        }
+        out
+    }
+
+    #[test]
+    fn quiet_skips_replay_the_plain_edge_sequence() {
+        let ring = RingTopology::new(12).unwrap();
+        // Two movers heading the same way never converge, so every round is
+        // quiet for the meeting preventer too.
+        let agents =
+            vec![mover(0, 2, GlobalDirection::Ccw, &ring), mover(1, 7, GlobalDirection::Ccw, &ring)];
+        type Make = fn() -> Box<dyn EdgePolicy>;
+        let policies: [(&str, Make); 4] = [
+            ("no-removal", || Box::new(NoRemoval)),
+            ("prevent-meeting", || Box::new(PreventMeeting::new())),
+            ("sticky", || Box::new(StickyRandomEdge::new(1, 9, 0.5, 41))),
+            ("sticky-long", || Box::new(StickyRandomEdge::new(3, 40, 0.6, 7))),
+        ];
+        for (name, make) in &policies {
+            let plain = edges_with_quiet_jumps(make().as_mut(), &agents, &ring, 600, |_| 0);
+            for stride in [1, 2, 3, 5, 64] {
+                // Jump on some rounds only, by a varying amount.
+                let jump =
+                    |round: u64| if round.is_multiple_of(stride) { round % 11 + 1 } else { 0 };
+                let mut policy = make();
+                let jumped = edges_with_quiet_jumps(policy.as_mut(), &agents, &ring, 600, jump);
+                assert_eq!(jumped, plain, "{name}, stride {stride}");
+            }
+        }
+        // Quiet answers only where `select` would remove nothing.
+        assert_eq!(NoRemoval.quiet_rounds(1, 12), u64::MAX);
+        assert_eq!(PreventMeeting::new().quiet_rounds(1, 12), u64::MAX);
+        assert_eq!(RandomEdge::new(0.0, 1).quiet_rounds(1, 12), 0);
+    }
+
+    #[test]
+    fn sticky_reset_mid_lazy_episode_replays_from_the_seed() {
+        let ring = RingTopology::new(10).unwrap();
+        let plain = edges_with_quiet_jumps(
+            &mut StickyRandomEdge::new(2, 6, 0.5, 3),
+            &[],
+            &ring,
+            80,
+            |_| 0,
+        );
+        let mut policy = StickyRandomEdge::new(2, 6, 0.5, 3);
+        let _ = edges_with_quiet_jumps(&mut policy, &[], &ring, 7, |_| 0);
+        // Ask for quiet rounds until an episode has been drawn lazily (a
+        // used-up episode is replaced by the query itself), then reset.
+        while policy.remaining != 0 {
+            let view = RoundView { round: 1, ring: &ring, agents: vec![].into(), visited: &[] };
+            let _ = policy.select(&view, &[]);
+        }
+        let _ = policy.quiet_rounds(8, ring.size());
+        assert!(policy.remaining > 0, "the query drew the next episode");
+        policy.reset();
+        assert_eq!(edges_with_quiet_jumps(&mut policy, &[], &ring, 80, |_| 0), plain);
     }
 
     #[test]

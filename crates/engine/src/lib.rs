@@ -67,7 +67,9 @@ pub use adversary::EdgePolicy;
 pub use checkpoint::{KeyScratch, SimCheckpoint};
 pub use error::EngineError;
 pub use scheduler::ActivationPolicy;
-pub use sim::{AgentSpec, RunReport, RunSpec, Simulation, SimulationBuilder, StopCondition};
+pub use sim::{
+    AgentSpec, CruiseStats, RunReport, RunSpec, Simulation, SimulationBuilder, StopCondition,
+};
 pub use sim_batch::{BatchLane, SimBatch};
 pub use trace::{RoundRecord, Trace};
 pub use world::{AgentView, PredictedAction, RoundView};

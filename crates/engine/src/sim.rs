@@ -7,10 +7,10 @@ use crate::scheduler::ActivationPolicy;
 use crate::trace::Trace;
 use crate::world::{
     build_snapshot, fill_agent_views, fill_round_fsync, predict_action, AgentSoA, AgentView,
-    LaneStateMut, ProbePool, RoundView,
+    LaneStateMut, PredictedAction, ProbePool, RoundView,
 };
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
-use dynring_model::{Decision, PriorOutcome, Protocol, SynchronyModel, TransportModel};
+use dynring_model::{CruiseLog, Decision, PriorOutcome, Protocol, SynchronyModel, TransportModel};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -199,6 +199,7 @@ impl SimulationBuilder {
             trace: if self.record_trace { Some(Trace::new()) } else { None },
             explored_at: None,
             scratch,
+            cruise: CruiseStats::default(),
         })
     }
 }
@@ -362,6 +363,8 @@ struct RoundScratch {
     /// Ports denied for the rest of the round, sorted. A handful of entries
     /// at most (one per agent), so a sorted vec beats a `HashSet`.
     claimed: Vec<(NodeId, GlobalDirection)>,
+    /// Per-agent state of the current cruise window.
+    slots: Vec<CruiseSlot>,
 }
 
 impl RoundScratch {
@@ -376,6 +379,7 @@ impl RoundScratch {
             probes: ProbePool::default(),
             nodes_before: Vec::with_capacity(agent_count),
             claimed: Vec::with_capacity(agent_count),
+            slots: vec![CruiseSlot::VACANT; agent_count],
         }
     }
 }
@@ -398,6 +402,7 @@ pub struct Simulation {
     trace: Option<Trace>,
     explored_at: Option<u64>,
     scratch: RoundScratch,
+    cruise: CruiseStats,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -486,6 +491,15 @@ impl Simulation {
         self.agents.moves.clone()
     }
 
+    /// The cruise windows this run has played so far (reset by
+    /// [`Simulation::recycle`]). Only [`Simulation::run`] and
+    /// [`Simulation::run_into`] enter windows; [`Simulation::step`] always
+    /// plays one generic round.
+    #[must_use]
+    pub fn cruise_stats(&self) -> CruiseStats {
+        self.cruise
+    }
+
     /// Re-initialises this simulation **in place** to round zero of `spec`,
     /// reusing every buffer of the previous run:
     ///
@@ -531,6 +545,7 @@ impl Simulation {
         self.alive = spec.agents.len();
         self.round = 0;
         self.explored_at = None;
+        self.cruise = CruiseStats::default();
         match (&mut self.trace, spec.record_trace) {
             (Some(trace), true) => trace.clear(),
             (trace @ None, true) => *trace = Some(Trace::new()),
@@ -868,42 +883,70 @@ impl Simulation {
     }
 
     fn run_rounds(&mut self, max_rounds: u64, stop: StopCondition) -> StopReason {
-        let mut reason = StopReason::BudgetExhausted;
-        if stop == StopCondition::RoundBudget {
-            // The budget-only loop (throughput measurement) skips the
-            // per-round stop-condition dispatch.
-            for _ in 0..max_rounds {
-                if !self.step() {
-                    return StopReason::Deadlocked;
-                }
-            }
-            return reason;
-        }
-        for _ in 0..max_rounds {
+        // Cruise windows need FSYNC and no trace (a trace records every
+        // round); both hold for the whole run.
+        let windows = self.synchrony.is_fsync() && self.trace.is_none();
+        let mut next_probe = self.round + CRUISE_PROBE_BACKOFF;
+        let mut left = max_rounds;
+        while left > 0 {
             if self.stop_condition_met(stop) {
-                reason = StopReason::ConditionMet;
-                break;
+                return StopReason::ConditionMet;
+            }
+            if windows && self.round >= next_probe && self.agents.crowded_nodes == 0 {
+                let cruised = self.try_cruise(left, stop);
+                if cruised > 0 {
+                    left -= cruised;
+                    continue;
+                }
+                next_probe = self.round + CRUISE_PROBE_BACKOFF;
             }
             if !self.step() {
-                reason = StopReason::Deadlocked;
-                break;
+                return StopReason::Deadlocked;
             }
+            left -= 1;
         }
-        if reason == StopReason::BudgetExhausted && self.stop_condition_met(stop) {
-            reason = StopReason::ConditionMet;
+        if self.stop_condition_met(stop) {
+            StopReason::ConditionMet
+        } else {
+            StopReason::BudgetExhausted
         }
-        reason
+    }
+
+    /// Plays a cruise window of at most `budget` rounds if every live
+    /// program promises a cruise (see [`cruise_window`]), returning the
+    /// rounds played.
+    #[inline(never)]
+    fn try_cruise(&mut self, budget: u64, stop: StopCondition) -> u64 {
+        let agent_count = self.agents.len();
+        let RoundScratch { views, active, slots, .. } = &mut self.scratch;
+        if views.len() < agent_count {
+            views.resize(agent_count, AgentView::VACANT);
+        }
+        if active.len() < agent_count {
+            active.resize(agent_count, AgentId::new(0));
+        }
+        if slots.len() < agent_count {
+            slots.resize(agent_count, CruiseSlot::VACANT);
+        }
+        let lane =
+            self.agents.lane_state_mut(&mut self.visited, &mut self.unvisited, &mut self.alive);
+        cruise_window(
+            &self.ring,
+            lane,
+            self.edges.as_mut(),
+            views,
+            active,
+            slots,
+            &mut self.round,
+            &mut self.explored_at,
+            budget,
+            stop,
+            &mut self.cruise,
+        )
     }
 
     fn stop_condition_met(&self, stop: StopCondition) -> bool {
-        match stop {
-            StopCondition::Explored => self.explored(),
-            StopCondition::ExploredAndPartialTermination => {
-                self.explored() && self.alive < self.agents.len()
-            }
-            StopCondition::AllTerminated => self.alive == 0,
-            StopCondition::RoundBudget => false,
-        }
+        condition_met(stop, self.explored(), self.alive, self.agents.len())
     }
 
     /// Builds the report for the current state of the simulation.
@@ -1270,6 +1313,343 @@ pub(crate) fn resolve_lane(
     }
 }
 
+/// Whether `stop` holds for a run with the given exploration status and
+/// liveness — the one stop test of the solo loop, the batched lanes and the
+/// cruise windows.
+#[inline]
+pub(crate) fn condition_met(
+    stop: StopCondition,
+    explored: bool,
+    alive: usize,
+    agent_count: usize,
+) -> bool {
+    match stop {
+        StopCondition::Explored => explored,
+        StopCondition::ExploredAndPartialTermination => explored && alive < agent_count,
+        StopCondition::AllTerminated => alive == 0,
+        StopCondition::RoundBudget => false,
+    }
+}
+
+/// Rounds a run plays before it first asks its programs for a cruise, and
+/// again after one of them declined. Asking costs a virtual call per live
+/// agent, which a run that never cruises would otherwise pay every round
+/// (and a short run at all); a window that opens up to this many rounds
+/// late plays the same rounds generically, so the backoff changes no
+/// result.
+pub(crate) const CRUISE_PROBE_BACKOFF: u64 = 32;
+
+/// Deterministic counters of the cruise windows a run played (see
+/// `docs/ARCHITECTURE.md`, "Cruise windows"). They are not part of the
+/// [`RunReport`]: a window changes how rounds are played, never what they
+/// produce.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CruiseStats {
+    /// Windows entered.
+    pub windows: u64,
+    /// Rounds played inside windows, jumped ones included.
+    pub rounds: u64,
+    /// Rounds crossed by quiet jumps.
+    pub jumped: u64,
+}
+
+/// One live agent's side of a cruise window: its promised direction (in the
+/// global frame) and the log of what its skipped `decide` calls would have
+/// absorbed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CruiseSlot {
+    gdir: GlobalDirection,
+    log: CruiseLog,
+}
+
+impl CruiseSlot {
+    /// Filler for the per-agent scratch arrays (every field is written when
+    /// a window starts).
+    pub(crate) const VACANT: CruiseSlot = CruiseSlot {
+        gdir: GlobalDirection::Ccw,
+        log: CruiseLog {
+            activations: 0,
+            first_prior: PriorOutcome::Idle,
+            moves: 0,
+            trailing_blocked: 0,
+        },
+    };
+
+    /// Tallies the outcome of a window move, as absorbed by the next
+    /// window activation.
+    #[inline(always)]
+    fn absorb(&mut self, prior: PriorOutcome) {
+        if prior == PriorOutcome::Moved {
+            self.log.moves += 1;
+            self.log.trailing_blocked = 0;
+        } else {
+            debug_assert_eq!(prior, PriorOutcome::BlockedOnPort);
+            self.log.trailing_blocked += 1;
+        }
+    }
+}
+
+/// The first round `t ≥ 1` after which two agents at distinct nodes `a` and
+/// `b` stand on one node, when `a` steps `da` and `b` steps `db` (each
+/// `-1`, `0` or `+1`) every round on a ring of `n` nodes; `u64::MAX` if
+/// they never do.
+fn first_meeting(n: u64, a: u64, da: i64, b: u64, db: i64) -> u64 {
+    let closing = da - db;
+    if closing == 0 {
+        return u64::MAX;
+    }
+    // Gap from a to b, measured in a's relative direction of travel.
+    let gap = if closing > 0 { (b + n - a) % n } else { (a + n - b) % n };
+    if closing.abs() == 1 {
+        gap
+    } else if gap % 2 == 0 {
+        gap / 2
+    } else if n % 2 == 1 {
+        (gap + n) / 2
+    } else {
+        // An odd gap on an even ring never closes: the two swap sides on an
+        // edge instead of meeting on a node.
+        u64::MAX
+    }
+}
+
+/// Plays a **cruise window** on one FSYNC lane (see `docs/ARCHITECTURE.md`,
+/// "Cruise windows") and returns the rounds it played — `0` when the lane is
+/// not eligible. The callers have already checked the cheap conditions, in
+/// this order: FSYNC, no trace, no node holding two agents (and the probe
+/// backoff, [`CRUISE_PROBE_BACKOFF`]); here every live agent must promise a
+/// [`Protocol::cruise`].
+///
+/// Each window round is the generic FSYNC round with `decide` replaced by
+/// the promised `Move(dir)`: the views are filled as
+/// [`fill_round_fsync`] fills them, the edge policy selects on them, and
+/// every agent moves or blocks exactly as [`resolve_lane`] would move an
+/// agent that is alone at its node. Rounds that the policy declares quiet
+/// ([`EdgePolicy::quiet_rounds`]) on a fully explored ring are jumped in
+/// one step, up to the round before the first possible meeting. The window
+/// ends when a promise runs out, two agents share a node, the stop
+/// condition holds or `budget` rounds are played; then every live program
+/// absorbs the window through one [`Protocol::advance_cruise`] call.
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+pub(crate) fn cruise_window(
+    ring: &RingTopology,
+    lane: LaneStateMut<'_>,
+    edges: &mut dyn EdgePolicy,
+    views: &mut [AgentView],
+    active: &mut [AgentId],
+    slots: &mut [CruiseSlot],
+    round: &mut u64,
+    explored_at: &mut Option<u64>,
+    budget: u64,
+    stop: StopCondition,
+    stats: &mut CruiseStats,
+) -> u64 {
+    let LaneStateMut {
+        node,
+        held_port,
+        terminated,
+        handedness,
+        prior,
+        program,
+        moves,
+        activations,
+        last_active_round,
+        asleep_on_port,
+        agent_visited,
+        visited_count,
+        ring_size,
+        node_population,
+        crowded_nodes,
+        global_visited,
+        unvisited,
+        alive,
+        ..
+    } = lane;
+    debug_assert_eq!(*crowded_nodes, 0, "callers only probe uncrowded lanes");
+    let agent_count = node.len();
+    let mut limit = budget;
+    let mut live = 0;
+    for index in 0..agent_count {
+        if terminated[index] {
+            continue;
+        }
+        let Some(cruise) = program[index].cruise() else { return 0 };
+        limit = limit.min(cruise.activations);
+        active[live] = AgentId::new(index);
+        live += 1;
+        slots[index] = CruiseSlot {
+            gdir: crate::world::to_global(handedness[index], cruise.dir),
+            log: CruiseLog {
+                activations: 0,
+                first_prior: prior[index],
+                moves: 0,
+                trailing_blocked: 0,
+            },
+        };
+    }
+    if live == 0 || limit == 0 {
+        return 0;
+    }
+    let active = &active[..live];
+    let views = &mut views[..agent_count];
+    let predict = edges.needs_predictions();
+    for (index, view) in views.iter_mut().enumerate() {
+        *view = AgentView {
+            id: AgentId::new(index),
+            node: node[index],
+            held_port: held_port[index],
+            terminated: terminated[index],
+            handedness: handedness[index],
+            predicted: if terminated[index] {
+                PredictedAction::Terminate
+            } else {
+                PredictedAction::Stay
+            },
+            last_active_round: last_active_round[index],
+            asleep_on_port: asleep_on_port[index],
+            moves: moves[index],
+        };
+    }
+    let n = ring.size();
+    let mut played = 0;
+    let mut jumped = 0;
+    while played < limit {
+        // Quiet jump: nothing left to visit, nobody blocked by the policy
+        // and nobody meeting before the horizon, so every round of the
+        // jump moves every live agent one step.
+        if explored_at.is_some()
+            && active.iter().all(|id| visited_count[id.index()] == ring_size)
+        {
+            let quiet = edges.quiet_rounds(*round + 1, n);
+            if quiet > 0 {
+                let mut horizon = u64::MAX;
+                for i in 0..agent_count {
+                    let di = if terminated[i] { 0 } else { slots[i].gdir.step() };
+                    for j in i + 1..agent_count {
+                        let dj = if terminated[j] { 0 } else { slots[j].gdir.step() };
+                        let at_i = node[i].index() as u64;
+                        let at_j = node[j].index() as u64;
+                        horizon = horizon.min(first_meeting(n as u64, at_i, di, at_j, dj));
+                    }
+                }
+                let rounds = quiet.min(limit - played).min(horizon - 1);
+                if rounds > 0 {
+                    let r = *round + rounds;
+                    let shift = (rounds % n as u64) as usize;
+                    for id in active {
+                        let index = id.index();
+                        let slot = &mut slots[index];
+                        if played > 0 {
+                            slot.absorb(prior[index]);
+                        }
+                        if rounds > 1 {
+                            slot.log.moves += rounds - 1;
+                            slot.log.trailing_blocked = 0;
+                        }
+                        let at = node[index];
+                        let to = match slot.gdir {
+                            GlobalDirection::Ccw => (at.index() + shift) % n,
+                            GlobalDirection::Cw => (at.index() + n - shift) % n,
+                        };
+                        let destination = NodeId::new(to);
+                        AgentSoA::relocate(node_population, crowded_nodes, at, destination);
+                        node[index] = destination;
+                        held_port[index] = None;
+                        prior[index] = PriorOutcome::Moved;
+                        moves[index] += rounds;
+                        activations[index] += rounds;
+                        last_active_round[index] = r;
+                        asleep_on_port[index] = 0;
+                    }
+                    debug_assert_eq!(*crowded_nodes, 0, "a jump never ends on a meeting");
+                    edges.skip_quiet(rounds);
+                    *round = r;
+                    played += rounds;
+                    jumped += rounds;
+                    continue;
+                }
+            }
+        }
+
+        // One lean round.
+        let r = *round + 1;
+        *round = r;
+        for id in active {
+            let index = id.index();
+            let at = node[index];
+            let view = &mut views[index];
+            view.node = at;
+            view.held_port = held_port[index];
+            view.last_active_round = last_active_round[index];
+            view.asleep_on_port = asleep_on_port[index];
+            view.moves = moves[index];
+            if predict {
+                let gdir = slots[index].gdir;
+                view.predicted =
+                    PredictedAction::Move { edge: ring.edge_towards(at, gdir), direction: gdir };
+            }
+        }
+        let view = RoundView {
+            round: r,
+            ring,
+            agents: Cow::Borrowed(&views[..]),
+            visited: &global_visited[..],
+        };
+        let missing = edges.select(&view, active).filter(|e| e.index() < n);
+        for id in active {
+            let index = id.index();
+            let slot = &mut slots[index];
+            if played > 0 {
+                slot.absorb(prior[index]);
+            }
+            activations[index] += 1;
+            last_active_round[index] = r;
+            asleep_on_port[index] = 0;
+            // Alone at its node, the agent always acquires its port.
+            let at = node[index];
+            if missing == Some(ring.edge_towards(at, slot.gdir)) {
+                held_port[index] = Some(slot.gdir);
+                prior[index] = PriorOutcome::BlockedOnPort;
+            } else {
+                let destination = ring.neighbor(at, slot.gdir);
+                node[index] = destination;
+                held_port[index] = None;
+                prior[index] = PriorOutcome::Moved;
+                moves[index] += 1;
+                AgentSoA::relocate(node_population, crowded_nodes, at, destination);
+                let node_index = destination.index();
+                if !global_visited[node_index] {
+                    global_visited[node_index] = true;
+                    *unvisited -= 1;
+                }
+                let cell = &mut agent_visited[index * ring_size + node_index];
+                if !*cell {
+                    *cell = true;
+                    visited_count[index] += 1;
+                }
+            }
+        }
+        if explored_at.is_none() && *unvisited == 0 {
+            *explored_at = Some(r);
+        }
+        played += 1;
+        if *crowded_nodes > 0
+            || condition_met(stop, explored_at.is_some(), *alive, agent_count)
+        {
+            break;
+        }
+    }
+    for id in active {
+        let log = &mut slots[id.index()].log;
+        log.activations = played;
+        program[id.index()].advance_cruise(log);
+    }
+    stats.windows += 1;
+    stats.rounds += played;
+    stats.jumped += jumped;
+    played
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1295,6 +1675,23 @@ mod tests {
             builder = builder.agent(NodeId::new(*start), Handedness::LeftIsCcw, proto);
         }
         builder.build().unwrap()
+    }
+
+    #[test]
+    fn first_meeting_matches_a_brute_force_walk() {
+        for n in 3..12u64 {
+            for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).filter(|(a, b)| a != b) {
+                for (da, db) in [-1i64, 0, 1].into_iter().flat_map(|d| [(d, -1), (d, 0), (d, 1)]) {
+                    let at = |start: u64, step: i64, t: u64| {
+                        (start as i64 + step * t as i64).rem_euclid(n as i64)
+                    };
+                    let walked = (1..=2 * n)
+                        .find(|&t| at(a, da, t) == at(b, db, t))
+                        .unwrap_or(u64::MAX);
+                    assert_eq!(first_meeting(n, a, da, b, db), walked, "n={n} {a}{da:+} {b}{db:+}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,10 @@
 use crate::adversary::EdgePolicy;
 use crate::error::EngineError;
 use crate::scheduler::ActivationPolicy;
-use crate::sim::{resolve_lane, RunReport, RunSpec, StopCondition, StopReason};
+use crate::sim::{
+    condition_met, cruise_window, resolve_lane, CruiseSlot, CruiseStats, RunReport, RunSpec,
+    StopCondition, StopReason, CRUISE_PROBE_BACKOFF,
+};
 use crate::trace::Trace;
 use crate::world::{
     build_snapshot_lane, fill_agent_views_lane, predict_action, to_global, to_local, AgentSoA,
@@ -153,6 +156,10 @@ pub struct SimBatch {
     /// Per-lane recorded traces (`None` for lanes whose spec runs
     /// trace-off); columnar flat appends, recycled capacity-intact.
     traces: Vec<Option<Trace>>,
+    /// Flat cruise-window scratch, stride `agent_count`.
+    fslots: Vec<CruiseSlot>,
+    /// Per-lane cruise-window counters, reset by `recycle`.
+    cruise_stats: Vec<CruiseStats>,
     /// Per-lane scratch of the SSYNC path (live policy state machines need
     /// the solo round shape; see `step_round_ssync`).
     lane_scratch: Vec<LaneScratch>,
@@ -204,11 +211,18 @@ struct FsyncLane<'x> {
     tnodes: &'x mut [NodeId],
     tmask: &'x mut [bool],
     tdec: &'x mut [Option<Decision>],
+    slots: &'x mut [CruiseSlot],
+    stats: &'x mut CruiseStats,
     crowded: usize,
     alive: usize,
     unvisited: usize,
     explored: Option<u64>,
     r: u64,
+    /// Rounds left of this call's budget.
+    left: u64,
+    /// The round from which a cruise may be probed again (see
+    /// `CRUISE_PROBE_BACKOFF`).
+    next_probe: u64,
 }
 
 impl FsyncLane<'_> {
@@ -216,14 +230,83 @@ impl FsyncLane<'_> {
     /// `stop_condition_met`).
     #[inline]
     fn stop_met(&self, stop: StopCondition, a: usize) -> bool {
-        match stop {
-            StopCondition::Explored => self.explored.is_some(),
-            StopCondition::ExploredAndPartialTermination => {
-                self.explored.is_some() && self.alive < a
-            }
-            StopCondition::AllTerminated => self.alive == 0,
-            StopCondition::RoundBudget => false,
+        condition_met(stop, self.explored.is_some(), self.alive, a)
+    }
+
+    /// Plays the lane's next stretch — a cruise window when eligible, else
+    /// one round — or returns why the lane stops. This is the solo
+    /// `run_rounds` loop body: the cull runs before every stretch, and once
+    /// the budget is used up the final check decides between
+    /// `ConditionMet` and `BudgetExhausted`.
+    #[inline(always)]
+    fn advance(
+        &mut self,
+        a: usize,
+        n: usize,
+        predict: bool,
+        stop: StopCondition,
+    ) -> Option<StopReason> {
+        if self.left == 0 {
+            return Some(if self.stop_met(stop, a) {
+                StopReason::ConditionMet
+            } else {
+                StopReason::BudgetExhausted
+            });
         }
+        if let Some(reason) = self.cull(stop, a) {
+            return Some(reason);
+        }
+        if self.trace.is_none() && self.r >= self.next_probe && self.crowded == 0 {
+            let cruised = self.try_cruise(n, stop);
+            if cruised > 0 {
+                self.left -= cruised;
+                return None;
+            }
+            self.next_probe = self.r + CRUISE_PROBE_BACKOFF;
+        }
+        self.round(a, n, predict);
+        self.left -= 1;
+        None
+    }
+
+    /// The shared [`cruise_window`] over this lane's slices.
+    #[inline(never)]
+    fn try_cruise(&mut self, n: usize, stop: StopCondition) -> u64 {
+        let lane = LaneStateMut {
+            node: &mut *self.node,
+            held_port: &mut *self.held,
+            terminated: &mut *self.term,
+            handedness: self.hand,
+            prior: &mut *self.prior,
+            program: &mut *self.prog,
+            moves: &mut *self.moves,
+            activations: &mut *self.activations,
+            last_active_round: &mut *self.last_active,
+            asleep_on_port: &mut *self.asleep,
+            terminated_at: &mut *self.terminated_at,
+            poll_termination: self.poll,
+            agent_visited: &mut *self.avisited,
+            visited_count: &mut *self.vcount,
+            ring_size: n,
+            node_population: &mut *self.population,
+            crowded_nodes: &mut self.crowded,
+            global_visited: &mut *self.visited,
+            unvisited: &mut self.unvisited,
+            alive: &mut self.alive,
+        };
+        cruise_window(
+            self.ring,
+            lane,
+            self.edges.as_mut(),
+            self.views,
+            self.act,
+            self.slots,
+            &mut self.r,
+            &mut self.explored,
+            self.left,
+            stop,
+            self.stats,
+        )
     }
 
     /// The solo loop's cull, run before every stepped round: `Some` reason
@@ -567,6 +650,14 @@ impl SimBatch {
         self.traces.get(lane).and_then(Option::as_ref)
     }
 
+    /// The cruise windows lane `lane` played in the current cycle — the
+    /// counters a solo [`Simulation`](crate::sim::Simulation) of the same
+    /// spec/policies reports through its `cruise_stats`.
+    #[must_use]
+    pub fn cruise_stats(&self, lane: usize) -> CruiseStats {
+        self.cruise_stats.get(lane).copied().unwrap_or_default()
+    }
+
     /// Loads a group of lanes, replacing any previous group while reusing
     /// every buffer, and rewinds the batch to round zero (an implicit
     /// [`recycle`](SimBatch::recycle)).
@@ -632,18 +723,7 @@ impl SimBatch {
         refit(&mut self.alive, b, 0);
         refit(&mut self.round, b, 0);
         refit(&mut self.explored_at, b, None);
-        let filler = AgentView {
-            id: AgentId::new(0),
-            node: NodeId::new(0),
-            held_port: None,
-            terminated: false,
-            handedness: Handedness::LeftIsCcw,
-            predicted: PredictedAction::Stay,
-            last_active_round: 0,
-            asleep_on_port: 0,
-            moves: 0,
-        };
-        refit(&mut self.fviews, b * a, filler);
+        refit(&mut self.fviews, b * a, AgentView::VACANT);
         refit(&mut self.fdecisions, b * a, Decision::Stay);
         refit(&mut self.factive, b * a, AgentId::new(0));
         refit(&mut self.fnodes_before, b * a, NodeId::new(0));
@@ -653,6 +733,8 @@ impl SimBatch {
         // next group recycles capacity-intact; `recycle` toggles per lane.
         self.traces.truncate(b);
         self.traces.resize_with(b, || None);
+        refit(&mut self.fslots, b * a, CruiseSlot::VACANT);
+        refit(&mut self.cruise_stats, b, CruiseStats::default());
         // An agent can contribute two claim entries in one round (the port
         // it held at the start plus a newly acquired one), hence stride 2A.
         refit(&mut self.fclaimed, b * 2 * a, (NodeId::new(0), GlobalDirection::Cw));
@@ -714,6 +796,7 @@ impl SimBatch {
         self.round.fill(0);
         self.crowded_nodes.fill(0);
         self.alive.fill(a);
+        self.cruise_stats.fill(CruiseStats::default());
         for (lane, spec) in self.specs.iter().enumerate() {
             let mut start_nodes = 0;
             for (index, agent) in spec.agent_specs().iter().enumerate() {
@@ -821,14 +904,7 @@ impl SimBatch {
     /// Whether lane `lane`'s stop condition holds (mirrors the solo
     /// `stop_condition_met`).
     fn lane_stop_met(&self, lane: usize, stop: StopCondition) -> bool {
-        match stop {
-            StopCondition::Explored => self.explored_at[lane].is_some(),
-            StopCondition::ExploredAndPartialTermination => {
-                self.explored_at[lane].is_some() && self.alive[lane] < self.agent_count
-            }
-            StopCondition::AllTerminated => self.alive[lane] == 0,
-            StopCondition::RoundBudget => false,
-        }
+        condition_met(stop, self.explored_at[lane].is_some(), self.alive[lane], self.agent_count)
     }
 
     /// Harvests finished lanes out of the active set: a lane whose stop
@@ -927,6 +1003,8 @@ impl SimBatch {
             factive_mask,
             fdecisions_opt,
             traces,
+            fslots,
+            cruise_stats,
             ..
         } = self;
         let mut hot = FsyncLane {
@@ -956,29 +1034,22 @@ impl SimBatch {
             tnodes: &mut fnodes_before[base..base + a],
             tmask: &mut factive_mask[base..base + a],
             tdec: &mut fdecisions_opt[base..base + a],
+            slots: &mut fslots[base..base + a],
+            stats: &mut cruise_stats[lane],
             crowded: crowded_nodes[lane],
             alive: alive[lane],
             unvisited: unvisited[lane],
             explored: explored_at[lane],
             r: round[lane],
+            left: max_rounds,
+            next_probe: round[lane] + CRUISE_PROBE_BACKOFF,
         };
         let predict = hot.edges.needs_predictions();
-        let mut reason = None;
-        for _ in 0..max_rounds {
-            reason = hot.cull(stop, a);
-            if reason.is_some() {
-                break;
+        let reason = loop {
+            if let Some(reason) = hot.advance(a, n, predict, stop) {
+                break reason;
             }
-            hot.round(a, n, predict);
-        }
-        // Budget exhausted: the solo loop's final check — a lane whose stop
-        // condition holds after the last budgeted round still reports
-        // `ConditionMet`.
-        let reason = reason.unwrap_or(if hot.stop_met(stop, a) {
-            StopReason::ConditionMet
-        } else {
-            StopReason::BudgetExhausted
-        });
+        };
         crowded_nodes[lane] = hot.crowded;
         alive[lane] = hot.alive;
         unvisited[lane] = hot.unvisited;
@@ -1037,6 +1108,8 @@ impl SimBatch {
             factive_mask,
             fdecisions_opt,
             traces,
+            fslots,
+            cruise_stats,
             ..
         } = self;
         let (edges0, edges1) = edges[lane..lane + 2].split_at_mut(1);
@@ -1064,6 +1137,8 @@ impl SimBatch {
         let (tm0, tm1) = factive_mask[base..base + 2 * a].split_at_mut(a);
         let (td0, td1) = fdecisions_opt[base..base + 2 * a].split_at_mut(a);
         let (trace0, trace1) = traces[lane..lane + 2].split_at_mut(1);
+        let (slots0, slots1) = fslots[base..base + 2 * a].split_at_mut(a);
+        let (stats0, stats1) = cruise_stats[lane..lane + 2].split_at_mut(1);
         let mut h0 = FsyncLane {
             ring: &rings[lane],
             edges: &mut edges0[0],
@@ -1091,11 +1166,15 @@ impl SimBatch {
             tnodes: tn0,
             tmask: tm0,
             tdec: td0,
+            slots: slots0,
+            stats: &mut stats0[0],
             crowded: crowded_nodes[lane],
             alive: alive[lane],
             unvisited: unvisited[lane],
             explored: explored_at[lane],
             r: round[lane],
+            left: max_rounds,
+            next_probe: round[lane] + CRUISE_PROBE_BACKOFF,
         };
         let mut h1 = FsyncLane {
             ring: &rings[lane + 1],
@@ -1124,43 +1203,29 @@ impl SimBatch {
             tnodes: tn1,
             tmask: tm1,
             tdec: td1,
+            slots: slots1,
+            stats: &mut stats1[0],
             crowded: crowded_nodes[lane + 1],
             alive: alive[lane + 1],
             unvisited: unvisited[lane + 1],
             explored: explored_at[lane + 1],
             r: round[lane + 1],
+            left: max_rounds,
+            next_probe: round[lane + 1] + CRUISE_PROBE_BACKOFF,
         };
         let predict0 = h0.edges.needs_predictions();
         let predict1 = h1.edges.needs_predictions();
         let mut s0 = None;
         let mut s1 = None;
-        for _ in 0..max_rounds {
+        while s0.is_none() || s1.is_none() {
             if s0.is_none() {
-                s0 = h0.cull(stop, a);
+                s0 = h0.advance(a, n, predict0, stop);
             }
             if s1.is_none() {
-                s1 = h1.cull(stop, a);
-            }
-            if s0.is_some() && s1.is_some() {
-                break;
-            }
-            if s0.is_none() {
-                h0.round(a, n, predict0);
-            }
-            if s1.is_none() {
-                h1.round(a, n, predict1);
+                s1 = h1.advance(a, n, predict1, stop);
             }
         }
-        let s0 = s0.unwrap_or(if h0.stop_met(stop, a) {
-            StopReason::ConditionMet
-        } else {
-            StopReason::BudgetExhausted
-        });
-        let s1 = s1.unwrap_or(if h1.stop_met(stop, a) {
-            StopReason::ConditionMet
-        } else {
-            StopReason::BudgetExhausted
-        });
+        let (Some(s0), Some(s1)) = (s0, s1) else { unreachable!("both lanes stopped") };
         crowded_nodes[lane] = h0.crowded;
         alive[lane] = h0.alive;
         unvisited[lane] = h0.unvisited;

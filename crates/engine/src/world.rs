@@ -463,6 +463,21 @@ pub struct AgentView {
     pub moves: u64,
 }
 
+impl AgentView {
+    /// Filler for view buffers that are written in place before use.
+    pub(crate) const VACANT: AgentView = AgentView {
+        id: AgentId::new(0),
+        node: NodeId::new(0),
+        held_port: None,
+        terminated: false,
+        handedness: Handedness::LeftIsCcw,
+        predicted: PredictedAction::Stay,
+        last_active_round: 0,
+        asleep_on_port: 0,
+        moves: 0,
+    };
+}
+
 /// Adversary-visible information about the whole system at the start of a
 /// round.
 ///

@@ -33,5 +33,7 @@ pub mod statekey;
 
 pub use decision::Decision;
 pub use knowledge::{Knowledge, ScenarioAssumptions, SynchronyModel, TransportModel};
-pub use protocol::{clone_state_from, copy_program, BoxedProtocol, Protocol, TerminationKind};
+pub use protocol::{
+    clone_state_from, copy_program, BoxedProtocol, Cruise, CruiseLog, Protocol, TerminationKind,
+};
 pub use snapshot::{LocalDirection, LocalPosition, NodeOccupancy, PriorOutcome, Snapshot};

@@ -1,7 +1,7 @@
 //! The protocol trait implemented by every exploration algorithm.
 
 use crate::decision::Decision;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{LocalDirection, PriorOutcome, Snapshot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -193,6 +193,68 @@ pub trait Protocol: Send + Sync + fmt::Debug {
         let _ = out;
         false
     }
+
+    /// Promises a **cruise**: for its next `activations` activations, as
+    /// long as no other agent shares its node, the agent decides
+    /// `Move(dir)` and only its counters change. A promise lets the engine
+    /// play those activations without calling [`Protocol::decide`] and then
+    /// hand them over in one [`Protocol::advance_cruise`] call (see
+    /// `docs/ARCHITECTURE.md`, "Cruise windows"). The promise must hold
+    /// whatever each move's outcome is (`Moved` or `BlockedOnPort`) and
+    /// must not cover the activation that terminates the agent.
+    ///
+    /// The default (`None`) never cruises; every activation then goes
+    /// through `decide`.
+    fn cruise(&self) -> Option<Cruise> {
+        None
+    }
+
+    /// Applies a played cruise window in one step: the state afterwards
+    /// must equal the state after `log.activations` calls of
+    /// [`Protocol::decide`] that saw no other agent and absorbed the
+    /// outcomes `log` summarises. Called only after [`Protocol::cruise`]
+    /// returned `Some` promise covering at least `log.activations`
+    /// activations.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: a protocol that never promises a cruise is never
+    /// asked to advance one.
+    fn advance_cruise(&mut self, log: &CruiseLog) {
+        panic!("{} promised no cruise, yet was asked to advance {log:?}", self.name());
+    }
+}
+
+/// A cruise promise (see [`Protocol::cruise`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cruise {
+    /// The direction every promised activation moves in.
+    pub dir: LocalDirection,
+    /// How many activations the promise covers (at least one).
+    pub activations: u64,
+}
+
+/// What the activations of a played cruise window would have absorbed (see
+/// [`Protocol::advance_cruise`]).
+///
+/// The first activation absorbs the outcome of the decision made *before*
+/// the window (`first_prior`, attributed to that decision's direction);
+/// each later one absorbs the outcome of the previous window move, which is
+/// `Moved` or `BlockedOnPort`. Those `activations − 1` outcomes are
+/// summarised as a move count plus the run of blocked outcomes after the
+/// last move. The outcome of the window's last move is absorbed by the next
+/// regular activation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CruiseLog {
+    /// Activations played in the window.
+    pub activations: u64,
+    /// The outcome the first activation absorbed.
+    pub first_prior: PriorOutcome,
+    /// `Moved` outcomes among the later `activations − 1` absorptions.
+    pub moves: u64,
+    /// `BlockedOnPort` outcomes after the last of those moves (all of the
+    /// later absorptions when `moves == 0`).
+    pub trailing_blocked: u64,
 }
 
 /// Copies `src`'s state into `dst` when `src` is also a `T`, returning

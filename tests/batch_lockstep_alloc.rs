@@ -6,14 +6,20 @@
 //! the "whole batch recycles in place" design rule; the byte-identity half
 //! lives in `batch_lockstep_equivalence.rs`.
 //!
+//! Cruising lanes (the Theorem 8 termination wait played in cruise windows)
+//! are held to the same contract, batched and on the recycled solo path.
+//!
 //! This file deliberately holds a **single** test: the counting global
 //! allocator is process-wide, so any concurrently running test would bleed
 //! its allocations into the measured window. One test per binary keeps the
 //! reading deterministic (the `sweep_throughput` bench asserts the same
 //! contract from its single-threaded `main`).
 
-use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner};
+use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner, ScenarioRunner};
+use dynring_analysis::sweeps::round_budget;
 use dynring_core::Algorithm;
+use dynring_engine::sim::RunReport;
+use dynring_graph::Handedness;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,4 +102,43 @@ fn batched_steady_state_allocates_nothing() {
     // Sanity: the zero-allocation window really recorded traces where asked.
     assert!(runner.trace(0).is_some_and(|trace| !trace.is_empty()), "lane 0 lost its trace");
     assert!(runner.trace(1).is_none(), "lane 1 recorded without asking");
+
+    // Cruise windows (lean rounds and quiet jumps) are held to the same
+    // contract, batched and solo. Theorem 8 agents on a static ring go
+    // straight to `Happy`; facing agents meet every lap, so their windows
+    // also play lean rounds around each meeting.
+    let algorithm = Algorithm::LandmarkNoChirality;
+    let cruising: Vec<Scenario> = [(0, 4, false), (0, 4, true), (1, 6, true), (2, 3, false)]
+        .into_iter()
+        .map(|(a, b, facing)| {
+            let orientations = if facing {
+                vec![Handedness::LeftIsCw, Handedness::LeftIsCcw]
+            } else {
+                vec![Handedness::LeftIsCcw; 2]
+            };
+            Scenario::fsync(8, algorithm)
+                .with_starts(vec![a, b])
+                .with_orientations(orientations)
+                .with_max_rounds(round_budget(&algorithm, 8))
+        })
+        .collect();
+    let mut solo = ScenarioRunner::new();
+    let mut report = RunReport::default();
+    for _ in 0..2 {
+        let _ = runner.run_group_reports(&cruising);
+        solo.run_into(&cruising[1], &mut report);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..4 {
+        let _ = runner.run_group_reports(&cruising);
+        solo.run_into(&cruising[1], &mut report);
+    }
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(delta, 0, "cruising steady state allocated {delta} times over 4 generations");
+    for lane in 0..cruising.len() {
+        assert!(runner.cruise_stats(lane).windows > 0, "lane {lane} never cruised");
+    }
+    assert!(solo.cruise_stats().jumped > 0, "the solo run never jumped");
+    let facing = runner.cruise_stats(1);
+    assert!(facing.rounds > facing.jumped, "facing agents play lean rounds: {facing:?}");
 }
