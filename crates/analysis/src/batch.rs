@@ -13,7 +13,7 @@
 //! with one thread runs inline on the caller's thread (no spawn at all), which
 //! is the reference path the equivalence tests compare against.
 
-use crate::scenario::{Scenario, ScenarioBatchRunner};
+use crate::scenario::{Scenario, ScenarioRunner};
 use dynring_engine::sim::RunReport;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
@@ -135,7 +135,7 @@ impl BatchRunner {
     /// [`BatchRunner::run_map`] with **per-worker mutable state**: every
     /// worker thread calls `state` once and threads the result through its
     /// share of the inputs. This is what lets a battery hold one recycled
-    /// [`ScenarioRunner`](crate::scenario::ScenarioRunner) (and therefore
+    /// [`ScenarioRunner`] (and therefore
     /// one reusable `Simulation`) per
     /// thread without any cross-thread sharing; results are still merged in
     /// input order, so the output is identical whatever the thread count.
@@ -250,24 +250,13 @@ impl BatchRunner {
 
     /// Runs every scenario and returns the reports in input order.
     ///
-    /// The battery is first partitioned into maximal runs of consecutive
-    /// same-shape cells ([`group_ranges`], capped at
-    /// [`batch_lanes_from_env`] lanes); each group rides the engine's
-    /// batched lockstep path through a per-worker
-    /// [`ScenarioBatchRunner`], and singleton cells fall back to the
-    /// recycled solo simulation inside the same runner (trace-recording
-    /// cells batch like any other since the columnar trace). Results
-    /// are merged in input order, so the output is byte-identical to the
-    /// cell-by-cell sequential path whatever the thread or lane count.
+    /// Each worker runs its share of the cells one by one on its own
+    /// recycled [`ScenarioRunner`]. Results are merged in input order, so
+    /// the output is byte-identical to the cell-by-cell sequential path
+    /// whatever the thread count.
     #[must_use]
     pub fn run_reports(&self, scenarios: &[Scenario]) -> Vec<RunReport> {
-        let ranges = group_ranges(scenarios, |s| s, batch_lanes_from_env());
-        self.run_map_with(&ranges, ScenarioBatchRunner::new, |runner, range| {
-            runner.run_group(&scenarios[range.clone()])
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        self.run_map_with(scenarios, ScenarioRunner::new, ScenarioRunner::run)
     }
 }
 
@@ -362,92 +351,27 @@ pub fn parse_thread_count(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// The default lane cap for batched execution: throughput on the batched
-/// path is flat from ~8 lanes up (the per-lane state already saturates the
-/// cache-resident working set), and 16 keeps groups small enough that a
-/// battery's shape changes don't leave long ragged tails.
+/// Chunk size of [`group_ranges`].
+#[doc(hidden)]
 pub const DEFAULT_BATCH_LANES: usize = 16;
 
-/// Parses a `DYNRING_BATCH_LANES`-style value: a positive integer or the
-/// literal `solo` (= 1, turning every cell into a singleton group and thereby
-/// forcing the recycled solo path for every shape), rejecting everything else
-/// with a human-readable message — the same strict contract as
-/// [`parse_thread_count`]: a typo'd knob must abort loudly, never fall back
-/// silently.
-///
-/// # Errors
-///
-/// Returns the message to show the user when the value is not a positive
-/// integer or `solo`.
-pub fn parse_batch_lanes(raw: &str) -> Result<usize, String> {
-    let trimmed = raw.trim();
-    if trimmed == "solo" {
-        return Ok(1);
-    }
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(format!(
-            "{trimmed:?} is zero; use a positive lane count (or unset the variable \
-             for the default of {DEFAULT_BATCH_LANES})"
-        )),
-        Ok(lanes) => Ok(lanes),
-        Err(_) => Err(format!(
-            "{raw:?} is not a positive integer lane count, or the literal \"solo\" \
-             (examples: 1, 16, solo)"
-        )),
-    }
-}
-
-/// The lane cap batched execution uses: `DYNRING_BATCH_LANES` if set (a
-/// positive integer), otherwise [`DEFAULT_BATCH_LANES`]. A cap of 1 turns
-/// every cell into a singleton group, i.e. disables the batched path.
-///
-/// # Panics
-///
-/// An unparsable `DYNRING_BATCH_LANES` is a hard error, exactly like
-/// `DYNRING_THREADS` in [`BatchRunner::from_env`].
-#[must_use]
-pub fn batch_lanes_from_env() -> usize {
-    match std::env::var("DYNRING_BATCH_LANES") {
-        Ok(raw) => match parse_batch_lanes(&raw) {
-            Ok(lanes) => lanes,
-            Err(message) => panic!("invalid DYNRING_BATCH_LANES: {message}"),
-        },
-        Err(std::env::VarError::NotPresent) => DEFAULT_BATCH_LANES,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            panic!("invalid DYNRING_BATCH_LANES: value is not valid unicode")
-        }
-    }
-}
-
-/// Partitions a battery into maximal runs of **consecutive same-shape
-/// cells** (capped at `max_lanes` per range, clamped to at least 1) — the
-/// unit the batched engine path executes as one `SimBatch` lane group
-/// (trace-recording cells group like any other since the columnar trace).
-/// Concatenating the ranges always reproduces `0..items.len()` in order, so
-/// merging per-range results in input order is output-identical to the
-/// cell-by-cell path.
+/// Splits `0..items.len()` into consecutive ranges of at most `max_lanes`
+/// items (clamped to at least 1). Its only caller is the engine probe of the
+/// end-to-end benchmark (`e2ebench`), which concatenates the per-range
+/// results; it goes together with that probe in the next change to the
+/// benchmark.
+#[doc(hidden)]
 #[must_use]
 pub fn group_ranges<T>(
     items: &[T],
-    scenario_of: impl Fn(&T) -> &Scenario,
+    _scenario_of: impl Fn(&T) -> &Scenario,
     max_lanes: usize,
 ) -> Vec<std::ops::Range<usize>> {
     let max_lanes = max_lanes.max(1);
-    let mut ranges = Vec::new();
-    let mut start = 0;
-    while start < items.len() {
-        let first = scenario_of(&items[start]);
-        let mut end = start + 1;
-        while end < items.len()
-            && end - start < max_lanes
-            && first.same_batch_shape(scenario_of(&items[end]))
-        {
-            end += 1;
-        }
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
+    (0..items.len())
+        .step_by(max_lanes)
+        .map(|start| start..items.len().min(start + max_lanes))
+        .collect()
 }
 
 #[cfg(test)]
@@ -592,21 +516,6 @@ mod tests {
         assert_eq!(parse_thread_count(" 16 "), Ok(16));
         for bad in ["8x", "0", "-2", "", "all", "3.5"] {
             let err = parse_thread_count(bad).unwrap_err();
-            assert!(
-                err.contains("positive") || err.contains("zero"),
-                "{bad:?} -> {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn lane_count_parsing_is_strict_and_accepts_solo() {
-        assert_eq!(parse_batch_lanes("8"), Ok(8));
-        assert_eq!(parse_batch_lanes(" 16 "), Ok(16));
-        assert_eq!(parse_batch_lanes("solo"), Ok(1));
-        assert_eq!(parse_batch_lanes(" solo "), Ok(1));
-        for bad in ["8x", "0", "-2", "", "all", "3.5", "SOLO"] {
-            let err = parse_batch_lanes(bad).unwrap_err();
             assert!(
                 err.contains("positive") || err.contains("zero"),
                 "{bad:?} -> {err}"

@@ -8,6 +8,9 @@
 //!
 //! * [`scenario`] — declarative scenario descriptions (ring, agents,
 //!   knowledge, adversary) and a one-call runner;
+//! * [`batch`] — runs a battery of scenarios across threads, each worker
+//!   recycling one simulation cell after cell, with the results in input
+//!   order;
 //! * [`tables`] — one function per table of the paper; each returns
 //!   structured [`report::RowResult`]s that the benchmark harness prints in
 //!   the same shape as the paper's tables;
@@ -49,5 +52,7 @@ pub mod tables;
 pub use batch::BatchRunner;
 pub use model_check::{ModelCheck, Objective, TableCell, Verdict};
 pub use report::{markdown_table, RowResult};
-pub use scenario::{AdversaryKind, Scenario, ScenarioBatchRunner, ScenarioRunner, SchedulerKind};
+#[doc(hidden)]
+pub use scenario::ScenarioBatchRunner;
+pub use scenario::{AdversaryKind, Scenario, ScenarioRunner, SchedulerKind};
 pub use sweeps::PlacementDensity;

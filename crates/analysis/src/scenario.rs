@@ -19,7 +19,6 @@ use dynring_engine::scheduler::{
 use dynring_engine::sim::{
     AgentSpec, CruiseStats, RunReport, RunSpec, Simulation, StopCondition,
 };
-use dynring_engine::sim_batch::{BatchLane, SimBatch};
 use dynring_engine::trace::Trace;
 use dynring_graph::{AgentId, EdgeId, EdgeSchedule, Handedness, NodeId, RingTopology};
 use dynring_model::SynchronyModel;
@@ -402,50 +401,6 @@ impl Scenario {
             self.adversary.label()
         )
     }
-
-    /// Whether this scenario may ride the batched engine path at all.
-    /// Always true since the columnar trace refactor: batched lanes record
-    /// traces through the same flat-append fast path as solo runs, so trace
-    /// cells batch like any other cell (read them back via
-    /// [`ScenarioBatchRunner::trace`]).
-    #[must_use]
-    pub fn batchable(&self) -> bool {
-        true
-    }
-
-    /// Whether this scenario's shape actually *profits* from lockstep
-    /// batching.
-    ///
-    /// FSYNC cells do: every lane activates every agent every round, so the
-    /// run-major SoA loop amortises its per-round dispatch across all lanes.
-    /// SSYNC cells don't — scheduler-driven activation makes lanes diverge
-    /// (different agents active, different rounds decided), and the measured
-    /// batched throughput on the ssync-pt shape trails the recycled solo
-    /// runner. [`ScenarioBatchRunner`] uses this to route non-lockstep
-    /// groups through its solo recycled path; outputs are byte-identical
-    /// either way, this is purely a throughput heuristic (override with
-    /// `DYNRING_BATCH_LANES=solo` to force solo routing for every shape).
-    #[must_use]
-    pub fn prefers_lockstep(&self) -> bool {
-        matches!(self.synchrony, SynchronyModel::Fsync)
-    }
-
-    /// Whether `self` and `other` can share one [`SimBatch`] lane group.
-    ///
-    /// The engine requires every lane of a batch to agree on ring size, team
-    /// size and synchrony model, and one batch plays all its lanes under a
-    /// single round budget and stop condition — so those must match too.
-    /// Everything else — algorithm, landmark, placements, orientations,
-    /// scheduler, adversary, trace recording — is per-lane state
-    /// and may differ freely within a group.
-    #[must_use]
-    pub fn same_batch_shape(&self, other: &Scenario) -> bool {
-        self.ring_size == other.ring_size
-            && self.starts.len() == other.starts.len()
-            && self.synchrony == other.synchrony
-            && self.max_rounds == other.max_rounds
-            && self.stop == other.stop
-    }
 }
 
 /// A stateful scenario executor that **recycles one [`Simulation`]** across
@@ -533,148 +488,37 @@ impl ScenarioRunner {
     }
 }
 
-/// A stateful executor for **groups** of same-shape scenarios that rides the
-/// engine's batched path ([`SimBatch`]): one group becomes one lane batch,
-/// each lane carrying its own compiled spec and freshly instantiated
-/// policies, and the reports come back in lane order — byte-identical to
-/// running every cell solo (each lane's policies consume their RNG streams
-/// exactly as a solo run would).
+/// A [`ScenarioRunner`] plus a report buffer, running a slice of cells one
+/// after another.
 ///
-/// Like [`ScenarioRunner`] it caches its last group: re-running an identical
-/// group (the benchmark regime) is a pure [`SimBatch::recycle`] — zero
-/// steady-state heap allocations in the engine — while a different group
-/// reloads fresh lanes into the same buffers. Singleton groups (nothing to
-/// step in lockstep) fall back to an embedded solo [`ScenarioRunner`], so
-/// callers can feed any [`group_ranges`](crate::batch::group_ranges)
-/// partition without special cases; trace-recording cells batch like any
-/// other cell since the columnar trace refactor, their traces readable per
-/// cell via [`ScenarioBatchRunner::trace`].
+/// Its only caller is the engine probe of the end-to-end benchmark
+/// (`e2ebench`), which still times these names; they go together with that
+/// probe in the next change to the benchmark. Every other battery runs
+/// through [`BatchRunner::run_reports`](crate::batch::BatchRunner::run_reports).
+#[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct ScenarioBatchRunner {
-    batch: SimBatch,
-    compiled_from: Vec<Scenario>,
+    runner: ScenarioRunner,
     reports: Vec<RunReport>,
-    /// Per-cell cruise-window counters of the last group.
-    cruise: Vec<CruiseStats>,
-    solo: ScenarioRunner,
-    /// Whether the last group ran through the solo fallback (singletons).
-    last_solo: bool,
 }
 
 impl ScenarioBatchRunner {
-    /// An empty runner (the first group loads the batch).
+    /// An empty runner.
     #[must_use]
     pub fn new() -> Self {
         ScenarioBatchRunner::default()
     }
 
-    /// Runs every scenario of the group and returns one report per cell, in
-    /// input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a multi-cell group is not actually same-shape — the
-    /// contract of [`Scenario::same_batch_shape`]; partition arbitrary
-    /// batteries with [`group_ranges`](crate::batch::group_ranges).
-    #[must_use]
-    pub fn run_group(&mut self, group: &[Scenario]) -> Vec<RunReport> {
-        let mut out = Vec::with_capacity(group.len());
-        self.run_group_into(group, &mut out);
-        out
-    }
-
-    /// [`ScenarioBatchRunner::run_group`], appending the reports to `out`.
-    pub fn run_group_into(&mut self, group: &[Scenario], out: &mut Vec<RunReport>) {
-        let produced = self.run_group_reports(group).len();
-        debug_assert_eq!(produced, group.len());
-        // Split borrow dance: `run_group_reports` holds `&mut self`, so copy
-        // out of the buffer afterwards.
-        out.extend_from_slice(&self.reports[..produced]);
-    }
-
-    /// Runs the group and returns the harvested reports as a borrowed slice
-    /// (one per cell, in input order; valid until the next call) — the
-    /// allocation-free rerun path the `sweep_throughput` benchmark measures:
-    /// re-running the identical group recycles the batch and rewrites the
-    /// same report buffers in place, with zero steady-state heap
-    /// allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a multi-cell group is not same-shape, like
-    /// [`ScenarioBatchRunner::run_group`].
+    /// Runs every cell on the recycled runner and returns the reports, one
+    /// per cell in input order, as a slice valid until the next call.
     pub fn run_group_reports(&mut self, group: &[Scenario]) -> &[RunReport] {
-        let b = group.len();
-        let Some(first) = group.first() else { return &[] };
-        // Adaptive lifecycle heuristic: shapes that don't profit from
-        // lockstep (SSYNC groups — see `Scenario::prefers_lockstep`) run on
-        // the recycled solo runner instead of the batch. Trace-recording
-        // groups stay batched so `ScenarioBatchRunner::trace` keeps every
-        // lane's trace addressable. Reports are byte-identical either way.
-        let route_solo = b == 1
-            || (!group.iter().all(Scenario::prefers_lockstep)
-                && group.iter().all(|s| !s.record_trace));
-        if route_solo {
-            self.last_solo = true;
-            if self.reports.len() < b {
-                self.reports.resize_with(b, RunReport::default);
-            }
-            self.cruise.clear();
-            for (lane, scenario) in group.iter().enumerate() {
-                self.solo.run_into(scenario, &mut self.reports[lane]);
-                self.cruise.push(self.solo.cruise_stats());
-            }
-            return &self.reports[..b];
+        if self.reports.len() < group.len() {
+            self.reports.resize_with(group.len(), RunReport::default);
         }
-        self.last_solo = false;
-        assert!(
-            group.iter().all(|s| first.same_batch_shape(s)),
-            "a batched group must be same-shape (see Scenario::same_batch_shape)"
-        );
-        if self.compiled_from.as_slice() == group {
-            self.batch.recycle();
-        } else {
-            let lanes = group
-                .iter()
-                .map(|scenario| BatchLane {
-                    spec: scenario.compile(),
-                    activation: scenario.scheduler.instantiate(),
-                    edges: scenario.adversary.instantiate(),
-                })
-                .collect();
-            self.batch
-                .load(lanes)
-                .expect("a same-shape group satisfies the engine's batch constraints");
-            self.compiled_from.clear();
-            self.compiled_from.extend_from_slice(group);
+        for (scenario, report) in group.iter().zip(&mut self.reports) {
+            self.runner.run_into(scenario, report);
         }
-        self.batch.run_into(first.max_rounds, first.stop, &mut self.reports);
-        self.cruise.clear();
-        self.cruise.extend((0..b).map(|lane| self.batch.cruise_stats(lane)));
-        &self.reports[..b]
-    }
-
-    /// The cruise windows cell `index` of the last group played — equal to
-    /// what a solo run of the cell reports, whichever path executed it.
-    #[must_use]
-    pub fn cruise_stats(&self, index: usize) -> CruiseStats {
-        self.cruise.get(index).copied().unwrap_or_default()
-    }
-
-    /// The trace recorded by cell `index` of the last group, if that cell's
-    /// scenario enabled trace recording — byte-identical to the trace a solo
-    /// run of the same cell would record, whichever path executed it.
-    #[must_use]
-    pub fn trace(&self, index: usize) -> Option<&Trace> {
-        if self.last_solo {
-            if index == 0 {
-                self.solo.trace()
-            } else {
-                None
-            }
-        } else {
-            self.batch.trace(index)
-        }
+        &self.reports[..group.len()]
     }
 }
 
@@ -684,28 +528,21 @@ mod tests {
 
     #[test]
     fn ssync_groups_route_through_the_solo_recycled_path() {
-        let fsync = Scenario::fsync(6, Algorithm::KnownBound { upper_bound: 6 });
-        assert!(fsync.prefers_lockstep(), "FSYNC shapes profit from lockstep");
-        let group: Vec<Scenario> = (0..4)
+        // Every cell runs on the recycled solo runner, so a group of either
+        // synchrony family reports exactly what per-cell fresh runs report.
+        let ssync: Vec<Scenario> = (0..4)
             .map(|i| Scenario::ssync(6, Algorithm::PtBoundChirality { upper_bound: 6 }, i))
             .collect();
-        assert!(group.iter().all(|s| !s.prefers_lockstep()), "SSYNC shapes do not");
-
-        // The routed group must produce byte-identical reports to per-cell
-        // solo runs, and actually take the solo path.
-        let mut runner = ScenarioBatchRunner::new();
-        let routed = runner.run_group(&group);
-        assert!(runner.last_solo, "a non-lockstep group must route solo");
-        let solo: Vec<RunReport> = group.iter().map(Scenario::run).collect();
-        assert_eq!(routed, solo);
-
-        // Lockstep groups still ride the batch.
-        let lockstep: Vec<Scenario> = (0..4)
-            .map(|_| Scenario::fsync(6, Algorithm::KnownBound { upper_bound: 6 }))
+        let fsync: Vec<Scenario> = (0..4)
+            .map(|i| {
+                Scenario::fsync(6, Algorithm::KnownBound { upper_bound: 6 }).with_starts(vec![0, i])
+            })
             .collect();
-        let batched = runner.run_group(&lockstep);
-        assert!(!runner.last_solo, "an FSYNC group must stay batched");
-        assert_eq!(batched, lockstep.iter().map(Scenario::run).collect::<Vec<_>>());
+        let mut runner = ScenarioBatchRunner::new();
+        for group in [&ssync, &fsync, &ssync] {
+            let fresh: Vec<RunReport> = group.iter().map(Scenario::run).collect();
+            assert_eq!(runner.run_group_reports(group), fresh.as_slice());
+        }
     }
 
     #[test]

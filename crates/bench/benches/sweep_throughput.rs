@@ -1,17 +1,14 @@
 //! Run-lifecycle throughput: **runs per second** in the short-run regime
-//! (n = 64, round budget 4n), measured as fresh-build vs recycled vs
-//! batched-lockstep triples.
+//! (n = 64, round budget 4n), measured as fresh-build vs recycled pairs.
 //!
 //! Where `engine_throughput` measures the round loop, this target measures
 //! everything *around* it — `Scenario::run()`'s per-cell construction of the
 //! ring, agent SoA, scratch, probe pool and boxed policies versus the
 //! recycled lifecycle (`ScenarioRunner` + `Simulation::recycle`), which
-//! re-initialises one simulation in place, and versus the batched lockstep
-//! path (`ScenarioBatchRunner` + `SimBatch`), which steps a
-//! `DYNRING_BATCH_LANES`-lane group per generation. It also **counts heap
+//! re-initialises one simulation in place. It also **counts heap
 //! allocations** through a wrapping global allocator and fails loudly if the
-//! recycled or batched steady state allocates at all, so the zero-allocation
-//! claim is machine-checked on every run, including the CI smoke.
+//! recycled steady state allocates at all, so the zero-allocation claim is
+//! machine-checked on every run, including the CI smoke.
 //!
 //! Results are appended to `BENCH_engine.json` (schema v3, `sweep_cases`
 //! section); the `cases` and `model_check_cases` sections owned by
@@ -23,12 +20,11 @@
 //! ```
 
 use dynring_bench::throughput::{
-    batch_comparisons, extract_section, fast_mode, filter_cases, hard_gate, measure_runs,
-    measurement_budget, out_path, parse_baseline, recycle_comparisons, regressions,
-    sweep_case_scenario, sweep_cases, sweep_json_line, sweep_rates, Lifecycle, SweepSample,
+    extract_section, fast_mode, filter_cases, hard_gate, measure_runs, measurement_budget,
+    out_path, parse_baseline, recycle_comparisons, regressions, sweep_case_scenario, sweep_cases,
+    sweep_json_line, sweep_rates, Lifecycle, SweepSample,
 };
-use dynring_analysis::batch::batch_lanes_from_env;
-use dynring_analysis::scenario::{Scenario, ScenarioBatchRunner, ScenarioRunner};
+use dynring_analysis::scenario::ScenarioRunner;
 use dynring_engine::sim::RunReport;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,45 +64,24 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Counts the heap allocations per run in the steady state (after two
-/// warm-up iterations that size every buffer) for each recycled **and**
-/// batched case of the grid. A batched generation replays the identical
-/// `DYNRING_BATCH_LANES`-lane group, so its steady state must recycle the
-/// whole batch in place — the per-run quotient divides by `lanes * RUNS`.
-/// Returns `(case id, allocations per run)` pairs.
+/// warm-up iterations that size every buffer) for each recycled case of the
+/// grid. Returns `(case id, allocations per run)` pairs.
 fn steady_state_allocations() -> Vec<(String, u64)> {
     const RUNS: u64 = 64;
-    let lanes = batch_lanes_from_env();
     sweep_cases()
         .iter()
-        .filter(|case| case.lifecycle != Lifecycle::Fresh)
+        .filter(|case| case.lifecycle == Lifecycle::Recycled)
         .map(|case| {
             let scenario = sweep_case_scenario(case);
-            let per_run = match case.lifecycle {
-                Lifecycle::Recycled => {
-                    let mut runner = ScenarioRunner::new();
-                    let mut report = RunReport::default();
-                    runner.run_into(&scenario, &mut report);
-                    runner.run_into(&scenario, &mut report);
-                    let before = ALLOCATIONS.load(Ordering::Relaxed);
-                    for _ in 0..RUNS {
-                        runner.run_into(&scenario, &mut report);
-                    }
-                    (ALLOCATIONS.load(Ordering::Relaxed) - before) / RUNS
-                }
-                Lifecycle::Batched => {
-                    let group: Vec<Scenario> = vec![scenario; lanes];
-                    let mut runner = ScenarioBatchRunner::new();
-                    let _ = runner.run_group_reports(&group);
-                    let _ = runner.run_group_reports(&group);
-                    let before = ALLOCATIONS.load(Ordering::Relaxed);
-                    for _ in 0..RUNS {
-                        let _ = runner.run_group_reports(&group);
-                    }
-                    (ALLOCATIONS.load(Ordering::Relaxed) - before) / (lanes as u64 * RUNS)
-                }
-                Lifecycle::Fresh => unreachable!("filtered out above"),
-            };
-            (case.id.clone(), per_run)
+            let mut runner = ScenarioRunner::new();
+            let mut report = RunReport::default();
+            runner.run_into(&scenario, &mut report);
+            runner.run_into(&scenario, &mut report);
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            for _ in 0..RUNS {
+                runner.run_into(&scenario, &mut report);
+            }
+            (case.id.clone(), (ALLOCATIONS.load(Ordering::Relaxed) - before) / RUNS)
         })
         .collect()
 }
@@ -129,10 +104,7 @@ fn main() {
         samples.push(sample);
     }
 
-    let comparisons: Vec<String> = recycle_comparisons(&samples)
-        .into_iter()
-        .chain(batch_comparisons(&samples))
-        .collect();
+    let comparisons = recycle_comparisons(&samples);
     if !comparisons.is_empty() {
         println!();
         for line in &comparisons {
@@ -141,8 +113,7 @@ fn main() {
     }
 
     // Machine-checked zero-allocation contract: a recycled run of a
-    // shape-stable scenario must not touch the allocator at all, and neither
-    // may a batched generation once its lane group is loaded.
+    // shape-stable scenario must not touch the allocator at all.
     println!();
     let mut dirty = false;
     for (id, allocations_per_run) in steady_state_allocations() {
@@ -151,7 +122,7 @@ fn main() {
     }
     assert!(
         !dirty,
-        "recycled/batched steady state allocated: the run-recycling contract is broken"
+        "recycled steady state allocated: the run-recycling contract is broken"
     );
 
     let path = out_path();

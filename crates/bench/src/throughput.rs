@@ -23,9 +23,6 @@
 //!   contains the substring (e.g. `pred=on` for the omniscient-adversary
 //!   rows); both bench targets route the knob through one strict parser
 //!   ([`filter_cases`]), and a filter matching zero cases is a hard error;
-//! * `DYNRING_BATCH_LANES=n` — lane count of the `lifecycle=batched` rows
-//!   (strict positive integer, default
-//!   [`DEFAULT_BATCH_LANES`](dynring_analysis::batch::DEFAULT_BATCH_LANES));
 //! * `DYNRING_BENCH_BUDGET_MS=n` — override the per-case measurement window
 //!   (longer windows drown scheduler noise on busy machines);
 //! * `DYNRING_BENCH_GATE=soft` — demote ≥10% median regressions against the
@@ -33,8 +30,7 @@
 //!   gate is **hard by default**, per the ROADMAP's flip criterion, now that
 //!   the warn-only annotation history exists).
 
-use dynring_analysis::batch::batch_lanes_from_env;
-use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner, ScenarioRunner};
+use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioRunner};
 use dynring_core::Algorithm;
 use dynring_engine::sim::{RunReport, StopCondition};
 use std::io::Write as _;
@@ -223,10 +219,6 @@ pub enum Lifecycle {
     /// One [`ScenarioRunner`] recycles a single `Simulation` (and one
     /// `RunReport`) across all runs — the engine's run-recycling fast path.
     Recycled,
-    /// One [`ScenarioBatchRunner`] recycles a `DYNRING_BATCH_LANES`-lane
-    /// `SimBatch` across generations — the engine's batched lockstep path
-    /// (each generation completes one run per lane).
-    Batched,
 }
 
 impl Lifecycle {
@@ -236,7 +228,6 @@ impl Lifecycle {
         match self {
             Lifecycle::Fresh => "fresh",
             Lifecycle::Recycled => "recycled",
-            Lifecycle::Batched => "batched",
         }
     }
 }
@@ -298,16 +289,15 @@ pub struct SweepSample {
     pub runs_per_sec: f64,
 }
 
-/// The runs/sec grid: every workload × all three lifecycles on
+/// The runs/sec grid: every workload × both lifecycles on
 /// `n = `[`SWEEP_RING_SIZE`] with a `4n` budget. Each `lifecycle=fresh` row
-/// has its `lifecycle=recycled` sibling (quantifying the run-recycling fast
-/// path) and each `lifecycle=recycled` row has its `lifecycle=batched`
-/// sibling (quantifying the batched lockstep path), PR over PR.
+/// has its `lifecycle=recycled` sibling, quantifying the run-recycling fast
+/// path change over change.
 #[must_use]
 pub fn sweep_cases() -> Vec<SweepCase> {
     let mut cases = Vec::new();
     for workload in [SweepWorkload::FsyncWitness, SweepWorkload::Fsync, SweepWorkload::SsyncPt] {
-        for lifecycle in [Lifecycle::Fresh, Lifecycle::Recycled, Lifecycle::Batched] {
+        for lifecycle in [Lifecycle::Fresh, Lifecycle::Recycled] {
             cases.push(SweepCase {
                 id: format!(
                     "sweep/{}/n={SWEEP_RING_SIZE}/budget={SWEEP_BUDGET_ROUNDS}/lifecycle={}",
@@ -357,34 +347,18 @@ pub fn sweep_case_scenario(case: &SweepCase) -> Scenario {
 /// wall-clock budget elapses. Like [`measure`], the budget is split into
 /// five sub-windows and the reported `runs_per_sec` is the median window's
 /// rate; `runs` and `elapsed_ns` cover all five.
-///
-/// `lifecycle=batched` cases replay a `DYNRING_BATCH_LANES`-lane group of
-/// the identical scenario per generation (one complete run per lane), so
-/// their runs/sec is directly comparable to the solo lifecycles. The group
-/// goes through [`ScenarioBatchRunner`]'s adaptive routing, so what a
-/// `batched` row measures is the *routed* path — lockstep lanes for FSYNC
-/// shapes, the solo recycled fallback for SSYNC shapes (see
-/// [`Scenario::prefers_lockstep`]).
 #[must_use]
 pub fn measure_runs(case: &SweepCase, budget: Duration) -> SweepSample {
     let scenario = sweep_case_scenario(case);
     let mut runner = ScenarioRunner::new();
-    let mut batch = ScenarioBatchRunner::new();
     let mut report = RunReport::default();
-    let group: Vec<Scenario> = match case.lifecycle {
-        Lifecycle::Batched => vec![scenario.clone(); batch_lanes_from_env()],
-        Lifecycle::Fresh | Lifecycle::Recycled => Vec::new(),
-    };
     // Warm-up outside the measurement window (also sizes the recycled
-    // simulation's / batch's buffers).
+    // simulation's buffers).
     match case.lifecycle {
         Lifecycle::Fresh => {
             let _ = scenario.run();
         }
         Lifecycle::Recycled => runner.run_into(&scenario, &mut report),
-        Lifecycle::Batched => {
-            let _ = batch.run_group_reports(&group);
-        }
     }
 
     let window_budget = budget / 5;
@@ -404,9 +378,6 @@ pub fn measure_runs(case: &SweepCase, budget: Duration) -> SweepSample {
                     runner.run_into(&scenario, &mut report);
                     window_runs += 1;
                 }
-                Lifecycle::Batched => {
-                    window_runs += batch.run_group_reports(&group).len() as u64;
-                }
             }
             if start.elapsed() >= window_budget {
                 break;
@@ -423,32 +394,6 @@ pub fn measure_runs(case: &SweepCase, budget: Duration) -> SweepSample {
     }
     window_rates.sort_unstable_by(f64::total_cmp);
     SweepSample { case: case.clone(), runs, elapsed_ns, runs_per_sec: window_rates[2] }
-}
-
-/// Pairs every `lifecycle=batched` sample with its `lifecycle=recycled`
-/// sibling and returns one comparison line per pair (batched/recycled
-/// runs/sec ratio) — the headline of the batched lockstep path.
-#[must_use]
-pub fn batch_comparisons(samples: &[SweepSample]) -> Vec<String> {
-    samples
-        .iter()
-        .filter(|s| s.case.lifecycle == Lifecycle::Batched)
-        .filter_map(|batched| {
-            let recycled_id = batched.case.id.replace("/lifecycle=batched", "/lifecycle=recycled");
-            let recycled = samples.iter().find(|s| s.case.id == recycled_id)?;
-            if recycled.runs_per_sec <= 0.0 {
-                return None;
-            }
-            let ratio = batched.runs_per_sec / recycled.runs_per_sec;
-            Some(format!(
-                "BATCH {}: batched {:.0} vs recycled {:.0} runs/sec ({:.2}x)",
-                batched.case.id.replace("/lifecycle=batched", ""),
-                batched.runs_per_sec,
-                recycled.runs_per_sec,
-                ratio
-            ))
-        })
-        .collect()
 }
 
 /// Pairs every `lifecycle=recycled` sample with its `lifecycle=fresh`
@@ -944,8 +889,6 @@ mod tests {
                 budget_rounds: SWEEP_BUDGET_ROUNDS,
                 lifecycle: if id.ends_with("lifecycle=recycled") {
                     Lifecycle::Recycled
-                } else if id.ends_with("lifecycle=batched") {
-                    Lifecycle::Batched
                 } else {
                     Lifecycle::Fresh
                 },
@@ -1116,20 +1059,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_grid_pairs_fresh_with_recycled_and_batched() {
+    fn sweep_grid_pairs_fresh_with_recycled() {
         let cases = sweep_cases();
-        assert_eq!(cases.len(), 9, "three workloads x three lifecycles");
+        assert_eq!(cases.len(), 6, "three workloads x two lifecycles");
         for recycled in cases.iter().filter(|c| c.lifecycle == Lifecycle::Recycled) {
             let sibling = recycled.id.replace("/lifecycle=recycled", "/lifecycle=fresh");
             assert!(
                 cases.iter().any(|c| c.id == sibling && c.lifecycle == Lifecycle::Fresh),
                 "{} has no fresh sibling",
-                recycled.id
-            );
-            let batched = recycled.id.replace("/lifecycle=recycled", "/lifecycle=batched");
-            assert!(
-                cases.iter().any(|c| c.id == batched && c.lifecycle == Lifecycle::Batched),
-                "{} has no batched sibling",
                 recycled.id
             );
         }
@@ -1147,19 +1084,6 @@ mod tests {
         ]);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("(3.50x)"), "{}", lines[0]);
-        assert!(lines[0].contains("sweep/fsync-witness/n=64/budget=256"), "{}", lines[0]);
-    }
-
-    #[test]
-    fn batch_comparisons_pair_batched_with_recycled() {
-        let lines = batch_comparisons(&[
-            sweep_sample("sweep/fsync-witness/n=64/budget=256/lifecycle=fresh", 1000.0),
-            sweep_sample("sweep/fsync-witness/n=64/budget=256/lifecycle=recycled", 2000.0),
-            sweep_sample("sweep/fsync-witness/n=64/budget=256/lifecycle=batched", 3000.0),
-        ]);
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("(1.50x)"), "{}", lines[0]);
-        assert!(lines[0].contains("batched"), "{}", lines[0]);
         assert!(lines[0].contains("sweep/fsync-witness/n=64/budget=256"), "{}", lines[0]);
     }
 

@@ -33,15 +33,6 @@ pub enum EngineError {
         /// Which policy is missing (`"activation"` or `"edges"`).
         which: &'static str,
     },
-    /// A lane loaded into a [`SimBatch`](crate::sim_batch::SimBatch) does
-    /// not match the batch's shape (every lane must share ring size, team
-    /// size and synchrony model; trace recording is per lane and may mix).
-    BatchMismatch {
-        /// Index of the offending lane within the loaded batch.
-        lane: usize,
-        /// What differed (e.g. `"ring size"`, `"team size"`).
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -57,9 +48,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::MissingPolicy { which } => {
                 write!(f, "the {which} policy was not configured")
-            }
-            EngineError::BatchMismatch { lane, what } => {
-                write!(f, "lane {lane} does not match the batch shape: {what} differs")
             }
         }
     }
@@ -95,7 +83,6 @@ mod tests {
             },
             EngineError::AdversaryEdgeOutOfRange { edge: EdgeId::new(7), ring_size: 5 },
             EngineError::MissingPolicy { which: "edges" },
-            EngineError::BatchMismatch { lane: 3, what: "ring size" },
             EngineError::from(GraphError::RingTooSmall { requested: 2 }),
         ];
         for e in errors {

@@ -15,10 +15,6 @@
 //!   (Observations 1–2, Theorems 9, 10, 13, 15, 19);
 //! * [`sim`] — the round loop itself, with port mutual exclusion, passive
 //!   transport, metrics and invariant checking;
-//! * [`sim_batch`] — batched lockstep execution: [`sim_batch::SimBatch`]
-//!   steps B same-shape runs per instruction stream through the same round
-//!   code as [`sim::Simulation`], harvesting byte-identical reports at
-//!   multi-run sweep speed;
 //! * [`checkpoint`] — branchable run state: checkpoint/restore of a live
 //!   simulation plus canonicalised configuration keys, the engine half of
 //!   the analysis-side model checker;
@@ -59,7 +55,6 @@ pub mod error;
 pub mod render;
 pub mod scheduler;
 pub mod sim;
-pub mod sim_batch;
 pub mod trace;
 pub mod world;
 
@@ -70,6 +65,5 @@ pub use scheduler::ActivationPolicy;
 pub use sim::{
     AgentSpec, CruiseStats, RunReport, RunSpec, Simulation, SimulationBuilder, StopCondition,
 };
-pub use sim_batch::{BatchLane, SimBatch};
 pub use trace::{RoundRecord, Trace};
 pub use world::{AgentView, PredictedAction, RoundView};

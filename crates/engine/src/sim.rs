@@ -7,7 +7,7 @@ use crate::scheduler::ActivationPolicy;
 use crate::trace::Trace;
 use crate::world::{
     build_snapshot, fill_agent_views, fill_round_fsync, predict_action, AgentSoA, AgentView,
-    LaneStateMut, PredictedAction, ProbePool, RoundView,
+    MoveState, PredictedAction, ProbePool, RoundView,
 };
 use dynring_graph::{AgentId, EdgeId, GlobalDirection, Handedness, NodeId, RingTopology};
 use dynring_model::{CruiseLog, Decision, PriorOutcome, Protocol, SynchronyModel, TransportModel};
@@ -304,12 +304,6 @@ impl RunSpec {
     #[must_use]
     pub fn record_trace(&self) -> bool {
         self.record_trace
-    }
-
-    /// The per-agent specs (start node, handedness, protocol template), in
-    /// team order — the batched engine seeds its lanes from these.
-    pub(crate) fn agent_specs(&self) -> &[AgentSpec] {
-        &self.agents
     }
 
     /// Builds a fresh simulation from this spec with the given policies
@@ -816,19 +810,18 @@ impl Simulation {
         }
 
         // 4–6. Resolution (port acquisition in mutual exclusion, then
-        // moves), passive transport, and activation/sleep bookkeeping —
-        // shared verbatim with the batched engine via `resolve_lane`.
+        // moves), passive transport, and activation/sleep bookkeeping.
         {
             let agent_count = self.agents.len();
             let transport_pt = self.synchrony.transport() == Some(TransportModel::PassiveTransport);
-            let lane = self.agents.lane_state_mut(
+            let state = self.agents.move_state(
                 self.visited.as_mut_slice(),
                 &mut self.unvisited,
                 &mut self.alive,
             );
-            resolve_lane(
+            resolve_moves(
                 &self.ring,
-                lane,
+                state,
                 &self.scratch.decisions[..agent_count],
                 &self.scratch.active_mask[..agent_count],
                 &mut self.scratch.claimed,
@@ -844,10 +837,10 @@ impl Simulation {
 
         // 7. Trace recording: flat columnar appends straight from the round
         // slices (allocation-free in the recycled steady state; see
-        // `Trace::record_round_from_lane`).
+        // `Trace::record_round`).
         let visited_count = self.ring.size() - self.unvisited;
         if let Some(trace) = self.trace.as_mut() {
-            trace.record_round_from_lane(
+            trace.record_round(
                 round,
                 missing,
                 visited_count,
@@ -928,11 +921,11 @@ impl Simulation {
         if slots.len() < agent_count {
             slots.resize(agent_count, CruiseSlot::VACANT);
         }
-        let lane =
-            self.agents.lane_state_mut(&mut self.visited, &mut self.unvisited, &mut self.alive);
+        let state =
+            self.agents.move_state(&mut self.visited, &mut self.unvisited, &mut self.alive);
         cruise_window(
             &self.ring,
-            lane,
+            state,
             self.edges.as_mut(),
             views,
             active,
@@ -1148,19 +1141,16 @@ impl Simulation {
 /// passive transport of sleeping agents (PT model), and activation/sleep
 /// bookkeeping. `decisions[index]` is `Some` exactly for the agents that ran
 /// Compute this round; `claimed` must already hold every port held at the
-/// start of the round. Shared verbatim between the solo [`Simulation`] and
-/// the batched [`SimBatch`](crate::sim_batch::SimBatch) so both paths
-/// resolve rounds through the same code.
+/// start of the round.
 ///
 /// The per-agent state arrives as slices hoisted once per round (via
-/// [`LaneStateMut`]): the parallel vectors are re-sliced to the common
-/// length so the indexing below is bounds-check-free, and the virtual
-/// protocol calls cannot force reloads of the (noalias) slice pointers.
+/// [`MoveState`]): the parallel vectors are re-sliced to the common
+/// length so the indexing below is bounds-check-free.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn resolve_lane(
+fn resolve_moves(
     ring: &RingTopology,
-    lane: LaneStateMut<'_>,
+    state: MoveState<'_>,
     decisions: &[Option<Decision>],
     active_mask: &[bool],
     claimed: &mut Vec<(NodeId, GlobalDirection)>,
@@ -1169,7 +1159,7 @@ pub(crate) fn resolve_lane(
     fsync: bool,
     transport_pt: bool,
 ) {
-    let LaneStateMut {
+    let MoveState {
         node,
         held_port,
         terminated,
@@ -1190,7 +1180,7 @@ pub(crate) fn resolve_lane(
         global_visited,
         unvisited,
         alive,
-    } = lane;
+    } = state;
     let agent_count = node.len();
     let decisions = &decisions[..agent_count];
     let mut mark_visited = |index: usize, node_index: usize| {
@@ -1314,10 +1304,9 @@ pub(crate) fn resolve_lane(
 }
 
 /// Whether `stop` holds for a run with the given exploration status and
-/// liveness — the one stop test of the solo loop, the batched lanes and the
-/// cruise windows.
+/// liveness — the one stop test of the round loop and the cruise windows.
 #[inline]
-pub(crate) fn condition_met(
+fn condition_met(
     stop: StopCondition,
     explored: bool,
     alive: usize,
@@ -1337,7 +1326,7 @@ pub(crate) fn condition_met(
 /// (and a short run at all); a window that opens up to this many rounds
 /// late plays the same rounds generically, so the backoff changes no
 /// result.
-pub(crate) const CRUISE_PROBE_BACKOFF: u64 = 32;
+const CRUISE_PROBE_BACKOFF: u64 = 32;
 
 /// Deterministic counters of the cruise windows a run played (see
 /// `docs/ARCHITECTURE.md`, "Cruise windows"). They are not part of the
@@ -1357,7 +1346,7 @@ pub struct CruiseStats {
 /// global frame) and the log of what its skipped `decide` calls would have
 /// absorbed.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CruiseSlot {
+struct CruiseSlot {
     gdir: GlobalDirection,
     log: CruiseLog,
 }
@@ -1365,7 +1354,7 @@ pub(crate) struct CruiseSlot {
 impl CruiseSlot {
     /// Filler for the per-agent scratch arrays (every field is written when
     /// a window starts).
-    pub(crate) const VACANT: CruiseSlot = CruiseSlot {
+    const VACANT: CruiseSlot = CruiseSlot {
         gdir: GlobalDirection::Ccw,
         log: CruiseLog {
             activations: 0,
@@ -1413,8 +1402,8 @@ fn first_meeting(n: u64, a: u64, da: i64, b: u64, db: i64) -> u64 {
     }
 }
 
-/// Plays a **cruise window** on one FSYNC lane (see `docs/ARCHITECTURE.md`,
-/// "Cruise windows") and returns the rounds it played — `0` when the lane is
+/// Plays a **cruise window** on an FSYNC run (see `docs/ARCHITECTURE.md`,
+/// "Cruise windows") and returns the rounds it played — `0` when the run is
 /// not eligible. The callers have already checked the cheap conditions, in
 /// this order: FSYNC, no trace, no node holding two agents (and the probe
 /// backoff, [`CRUISE_PROBE_BACKOFF`]); here every live agent must promise a
@@ -1423,7 +1412,7 @@ fn first_meeting(n: u64, a: u64, da: i64, b: u64, db: i64) -> u64 {
 /// Each window round is the generic FSYNC round with `decide` replaced by
 /// the promised `Move(dir)`: the views are filled as
 /// [`fill_round_fsync`] fills them, the edge policy selects on them, and
-/// every agent moves or blocks exactly as [`resolve_lane`] would move an
+/// every agent moves or blocks exactly as [`resolve_moves`] would move an
 /// agent that is alone at its node. Rounds that the policy declares quiet
 /// ([`EdgePolicy::quiet_rounds`]) on a fully explored ring are jumped in
 /// one step, up to the round before the first possible meeting. The window
@@ -1431,9 +1420,9 @@ fn first_meeting(n: u64, a: u64, da: i64, b: u64, db: i64) -> u64 {
 /// condition holds or `budget` rounds are played; then every live program
 /// absorbs the window through one [`Protocol::advance_cruise`] call.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub(crate) fn cruise_window(
+fn cruise_window(
     ring: &RingTopology,
-    lane: LaneStateMut<'_>,
+    state: MoveState<'_>,
     edges: &mut dyn EdgePolicy,
     views: &mut [AgentView],
     active: &mut [AgentId],
@@ -1444,7 +1433,7 @@ pub(crate) fn cruise_window(
     stop: StopCondition,
     stats: &mut CruiseStats,
 ) -> u64 {
-    let LaneStateMut {
+    let MoveState {
         node,
         held_port,
         terminated,
@@ -1464,8 +1453,8 @@ pub(crate) fn cruise_window(
         unvisited,
         alive,
         ..
-    } = lane;
-    debug_assert_eq!(*crowded_nodes, 0, "callers only probe uncrowded lanes");
+    } = state;
+    debug_assert_eq!(*crowded_nodes, 0, "callers only probe uncrowded runs");
     let agent_count = node.len();
     let mut limit = budget;
     let mut live = 0;

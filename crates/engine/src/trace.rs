@@ -398,7 +398,7 @@ impl Trace {
     /// previous label id; agents that did snapshot their program in place).
     /// Steady-state allocation-free once every column has seen this shape.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_round_from_lane(
+    pub(crate) fn record_round(
         &mut self,
         round: u64,
         missing_edge: Option<EdgeId>,
@@ -930,7 +930,7 @@ mod tests {
     }
 
     /// Minimal protocol so the engine-facing encoder tests can hand real
-    /// programs to `record_round_from_lane`.
+    /// programs to `record_round`.
     #[derive(Debug, Clone)]
     struct Probe;
     impl dynring_model::Protocol for Probe {
@@ -955,7 +955,7 @@ mod tests {
     /// columnar fast path the simulation uses, not the `push` compatibility
     /// path — so the invariant checker is proven against entries that went
     /// through move-code packing, spill and label interning.
-    fn record_lane_round(
+    fn record_engine_round(
         t: &mut Trace,
         round: u64,
         ring_size: usize,
@@ -981,7 +981,7 @@ mod tests {
             .collect();
         let programs: Vec<Box<dyn Protocol>> =
             (0..count).map(|_| Box::new(Probe) as Box<dyn Protocol>).collect();
-        t.record_round_from_lane(
+        t.record_round(
             round,
             None,
             2,
@@ -1003,8 +1003,8 @@ mod tests {
         // 0 → 1 is the +1 (ccw) move code, 1 → 0 the −1 (cw) code, and the
         // wrap 0 → 7 on an 8-ring exercises the modular delta.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, &[0, 1], &[1, 0], &[None, None], &[false, false]);
-        record_lane_round(&mut t, 2, 8, &[1, 0], &[0, 7], &[None, None], &[false, false]);
+        record_engine_round(&mut t, 1, 8, &[0, 1], &[1, 0], &[None, None], &[false, false]);
+        record_engine_round(&mut t, 2, 8, &[1, 0], &[0, 7], &[None, None], &[false, false]);
         assert!(t.check_invariants(8).is_ok());
         let rounds: Vec<RoundRecord> = t.rounds().collect();
         assert_eq!(rounds[0].agents[0].node_after, NodeId::new(1));
@@ -1016,7 +1016,7 @@ mod tests {
         // A two-edge jump does not fit the 2-bit move code: it must spill an
         // explicit landing node and still reach the checker intact.
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, &[0], &[3], &[None], &[false]);
+        record_engine_round(&mut t, 1, 8, &[0], &[3], &[None], &[false]);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("jumped"), "{err}");
     }
@@ -1024,8 +1024,8 @@ mod tests {
     #[test]
     fn encoder_preserves_post_termination_moves_for_the_checker() {
         let mut t = Trace::new();
-        record_lane_round(&mut t, 1, 8, &[2], &[2], &[None], &[true]);
-        record_lane_round(&mut t, 2, 8, &[2], &[3], &[None], &[true]);
+        record_engine_round(&mut t, 1, 8, &[2], &[2], &[None], &[true]);
+        record_engine_round(&mut t, 2, 8, &[2], &[3], &[None], &[true]);
         let err = t.check_invariants(8).unwrap_err();
         assert!(err.contains("terminated"), "{err}");
     }
@@ -1033,7 +1033,7 @@ mod tests {
     #[test]
     fn encoder_preserves_shared_ports_for_the_checker() {
         let mut t = Trace::new();
-        record_lane_round(
+        record_engine_round(
             &mut t,
             1,
             8,

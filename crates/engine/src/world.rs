@@ -240,58 +240,17 @@ impl AgentSoA {
         self.terminated.iter().all(|t| *t)
     }
 
-    /// Splits the team into the immutable hot-state [`LaneRef`] plus the
-    /// mutable program slice — the borrow shape shared by the solo round
-    /// loop and the batched engine, so [`fill_round_fsync`] and friends run
-    /// on exactly the same slices either way.
+    /// Borrows the team's complete mutable state as a [`MoveState`] for the
+    /// resolution phase and the cruise windows, joined with the run-level
+    /// visit map and liveness counters that live outside the SoA.
     #[inline(always)]
-    pub(crate) fn lane_split(&mut self) -> (LaneRef<'_>, &mut [Box<dyn Protocol>]) {
-        (
-            LaneRef {
-                node: &self.node,
-                held_port: &self.held_port,
-                terminated: &self.terminated,
-                handedness: &self.handedness,
-                prior: &self.prior,
-                last_active_round: &self.last_active_round,
-                asleep_on_port: &self.asleep_on_port,
-                moves: &self.moves,
-                crowded_nodes: self.crowded_nodes,
-            },
-            &mut self.program,
-        )
-    }
-
-    /// Immutable variant of [`AgentSoA::lane_split`].
-    #[inline(always)]
-    pub(crate) fn lane_ref(&self) -> (LaneRef<'_>, &[Box<dyn Protocol>]) {
-        (
-            LaneRef {
-                node: &self.node,
-                held_port: &self.held_port,
-                terminated: &self.terminated,
-                handedness: &self.handedness,
-                prior: &self.prior,
-                last_active_round: &self.last_active_round,
-                asleep_on_port: &self.asleep_on_port,
-                moves: &self.moves,
-                crowded_nodes: self.crowded_nodes,
-            },
-            &self.program,
-        )
-    }
-
-    /// Borrows the team's complete mutable state as a [`LaneStateMut`] for
-    /// the resolution phase, joined with the run-level visit map and
-    /// liveness counters that live outside the SoA.
-    #[inline(always)]
-    pub(crate) fn lane_state_mut<'a>(
+    pub(crate) fn move_state<'a>(
         &'a mut self,
         global_visited: &'a mut [bool],
         unvisited: &'a mut usize,
         alive: &'a mut usize,
-    ) -> LaneStateMut<'a> {
-        LaneStateMut {
+    ) -> MoveState<'a> {
+        MoveState {
             node: &mut self.node,
             held_port: &mut self.held_port,
             terminated: &mut self.terminated,
@@ -316,29 +275,12 @@ impl AgentSoA {
     }
 }
 
-/// Borrowed, storage-agnostic view of one run's hot agent state: parallel
-/// slices indexed by agent. The solo [`Simulation`](crate::sim::Simulation)
-/// derives it from its [`AgentSoA`]; the batched engine
-/// ([`SimBatch`](crate::sim_batch::SimBatch)) derives it from one lane's
-/// stride of its run-major flat arrays — both then run the **same** fill,
-/// Look and resolution code, which is what makes the batched path
-/// byte-identical by construction.
-pub(crate) struct LaneRef<'a> {
-    pub node: &'a [NodeId],
-    pub held_port: &'a [Option<GlobalDirection>],
-    pub terminated: &'a [bool],
-    pub handedness: &'a [Handedness],
-    pub prior: &'a [PriorOutcome],
-    pub last_active_round: &'a [u64],
-    pub asleep_on_port: &'a [u64],
-    pub moves: &'a [u64],
-    pub crowded_nodes: usize,
-}
-
-/// Mutable counterpart of [`LaneRef`] for the resolution phase: one run's
-/// complete mutable state (agent slices plus the run-level visit map and
-/// liveness counters), again shared between the solo and batched engines.
-pub(crate) struct LaneStateMut<'a> {
+/// One run's complete mutable state as parallel slices: the agent slices
+/// plus the run-level visit map and liveness counters. It is the split
+/// borrow that lets the resolution phase and the cruise windows write the
+/// team while the simulation's ring, policies and scratch stay borrowed
+/// elsewhere.
+pub(crate) struct MoveState<'a> {
     pub node: &'a mut [NodeId],
     pub held_port: &'a mut [Option<GlobalDirection>],
     pub terminated: &'a mut [bool],
@@ -546,48 +488,19 @@ pub(crate) fn fill_agent_views(
     fsync: bool,
     predict: bool,
 ) {
-    let (lane, programs) = agents.lane_ref();
-    fill_agent_views_lane(
-        views,
-        predicted_decisions,
-        probes,
-        ring,
-        &lane,
-        programs,
-        round,
-        fsync,
-        predict,
-    );
-}
-
-/// Slice-based body of [`fill_agent_views`], shared with the batched engine
-/// (which passes one lane's stride of its run-major arrays).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn fill_agent_views_lane(
-    views: &mut Vec<AgentView>,
-    predicted_decisions: &mut Vec<Option<Decision>>,
-    probes: &mut ProbePool,
-    ring: &RingTopology,
-    lane: &LaneRef<'_>,
-    programs: &[Box<dyn Protocol>],
-    round: u64,
-    fsync: bool,
-    predict: bool,
-) {
     predicted_decisions.clear();
-    predicted_decisions.resize(lane.node.len(), None);
+    predicted_decisions.resize(agents.len(), None);
     if predict {
         for (index, slot) in predicted_decisions.iter_mut().enumerate() {
-            if lane.terminated[index] {
+            if agents.terminated[index] {
                 continue;
             }
-            let snapshot = build_snapshot_lane(ring, lane, index, round, fsync);
-            let probe = probes.refresh(index, programs[index].as_ref());
+            let snapshot = build_snapshot(ring, agents, index, round, fsync);
+            let probe = probes.refresh(index, agents.program[index].as_ref());
             *slot = Some(probe.decide(&snapshot));
         }
     }
-    fill_views_from_decisions(views, ring, lane, predicted_decisions, predict);
+    fill_views_from_decisions(views, ring, agents, predicted_decisions, predict);
 }
 
 /// One-pass start of an FSYNC round: refills the agent views, the active set
@@ -595,9 +508,9 @@ pub(crate) fn fill_agent_views_lane(
 /// activation mask, the claimed-port list (held ports only change during
 /// resolution, so the fill-time snapshot is the start-of-round truth) and,
 /// when `predict` is set, the fused predictions, all in a single traversal
-/// of the hot slices. Under FSYNC the prediction dry run
-/// *is* this round's Compute (see [`fill_agent_views_fsync_predict`]), so the
-/// recorded decisions are reused verbatim by the resolution phase.
+/// of the hot slices. Under FSYNC the prediction dry run *is* this round's
+/// Compute, so the recorded decisions are reused verbatim by the resolution
+/// phase.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn fill_round_fsync(
@@ -611,49 +524,18 @@ pub(crate) fn fill_round_fsync(
     round: u64,
     predict: bool,
 ) {
-    let (lane, programs) = agents.lane_split();
-    fill_round_fsync_lane(
-        views,
-        predicted_decisions,
-        active,
-        active_mask,
-        claimed,
-        ring,
-        &lane,
-        programs,
-        round,
-        predict,
-    );
-}
-
-/// Slice-based body of [`fill_round_fsync`], shared with the batched engine
-/// (which passes one lane's stride of its run-major arrays).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn fill_round_fsync_lane(
-    views: &mut Vec<AgentView>,
-    predicted_decisions: &mut Vec<Option<Decision>>,
-    active: &mut Vec<AgentId>,
-    active_mask: &mut Vec<bool>,
-    claimed: &mut Vec<(NodeId, GlobalDirection)>,
-    ring: &RingTopology,
-    lane: &LaneRef<'_>,
-    programs: &mut [Box<dyn Protocol>],
-    round: u64,
-    predict: bool,
-) {
     views.clear();
     active.clear();
     active_mask.clear();
     claimed.clear();
-    let count = lane.node.len();
+    let count = agents.len();
     predicted_decisions.clear();
     predicted_decisions.resize(count, None);
     for (index, predicted_slot) in predicted_decisions.iter_mut().enumerate().take(count) {
-        let is_terminated = lane.terminated[index];
-        let node = lane.node[index];
-        let held_port = lane.held_port[index];
-        let handedness = lane.handedness[index];
+        let is_terminated = agents.terminated[index];
+        let node = agents.node[index];
+        let held_port = agents.held_port[index];
+        let handedness = agents.handedness[index];
         active_mask.push(!is_terminated);
         if !is_terminated {
             active.push(AgentId::new(index));
@@ -664,8 +546,8 @@ pub(crate) fn fill_round_fsync_lane(
         let predicted = if is_terminated {
             PredictedAction::Terminate
         } else if predict {
-            let snapshot = build_snapshot_lane(ring, lane, index, round, true);
-            let decision = programs[index].decide(&snapshot);
+            let snapshot = build_snapshot(ring, agents, index, round, true);
+            let decision = agents.program[index].decide(&snapshot);
             *predicted_slot = Some(decision);
             predict_action(ring, node, handedness, decision)
         } else {
@@ -678,9 +560,9 @@ pub(crate) fn fill_round_fsync_lane(
             terminated: is_terminated,
             handedness,
             predicted,
-            last_active_round: lane.last_active_round[index],
-            asleep_on_port: lane.asleep_on_port[index],
-            moves: lane.moves[index],
+            last_active_round: agents.last_active_round[index],
+            asleep_on_port: agents.asleep_on_port[index],
+            moves: agents.moves[index],
         });
     }
 }
@@ -692,19 +574,19 @@ pub(crate) fn fill_round_fsync_lane(
 fn fill_views_from_decisions(
     views: &mut Vec<AgentView>,
     ring: &RingTopology,
-    lane: &LaneRef<'_>,
+    agents: &AgentSoA,
     predicted_decisions: &[Option<Decision>],
     predict: bool,
 ) {
     views.clear();
-    let count = lane.node.len();
-    let node = &lane.node[..count];
-    let held_port = &lane.held_port[..count];
-    let terminated = &lane.terminated[..count];
-    let handedness = &lane.handedness[..count];
-    let last_active_round = &lane.last_active_round[..count];
-    let asleep_on_port = &lane.asleep_on_port[..count];
-    let moves = &lane.moves[..count];
+    let count = agents.len();
+    let node = &agents.node[..count];
+    let held_port = &agents.held_port[..count];
+    let terminated = &agents.terminated[..count];
+    let handedness = &agents.handedness[..count];
+    let last_active_round = &agents.last_active_round[..count];
+    let asleep_on_port = &agents.asleep_on_port[..count];
+    let moves = &agents.moves[..count];
     let predicted_decisions = &predicted_decisions[..count];
     for index in 0..count {
         let predicted = if terminated[index] {
@@ -742,28 +624,15 @@ pub(crate) fn build_snapshot(
     round: u64,
     fsync: bool,
 ) -> Snapshot {
-    let (lane, _) = agents.lane_ref();
-    build_snapshot_lane(ring, &lane, observer, round, fsync)
-}
-
-/// Slice-based body of [`build_snapshot`], shared with the batched engine.
-#[inline(always)]
-pub(crate) fn build_snapshot_lane(
-    ring: &RingTopology,
-    lane: &LaneRef<'_>,
-    observer: usize,
-    round: u64,
-    fsync: bool,
-) -> Snapshot {
-    let count = lane.node.len();
-    let node = &lane.node[..count];
-    let held_port = &lane.held_port[..count];
+    let count = agents.len();
+    let node = &agents.node[..count];
+    let held_port = &agents.held_port[..count];
     let observer_node = node[observer];
-    let observer_handedness = lane.handedness[observer];
+    let observer_handedness = agents.handedness[observer];
     let mut occupancy = NodeOccupancy::default();
     // While no node holds two agents (tracked incrementally), every
     // observer's occupancy is trivially empty and the team scan is skipped.
-    if lane.crowded_nodes > 0 {
+    if agents.crowded_nodes > 0 {
         for index in 0..count {
             if index == observer || node[index] != observer_node {
                 continue;
@@ -777,7 +646,7 @@ pub(crate) fn build_snapshot_lane(
             }
         }
     }
-    let position = match lane.held_port[observer] {
+    let position = match agents.held_port[observer] {
         None => LocalPosition::InNode,
         Some(gdir) => LocalPosition::OnPort(to_local(observer_handedness, gdir)),
     };
@@ -785,7 +654,7 @@ pub(crate) fn build_snapshot_lane(
         position,
         is_landmark: ring.is_landmark(observer_node),
         occupancy,
-        prior: lane.prior[observer],
+        prior: agents.prior[observer],
         round_hint: if fsync { Some(round) } else { None },
     }
 }

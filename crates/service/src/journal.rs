@@ -541,15 +541,20 @@ pub fn replay(path: &Path, job: &Job) -> Result<Replay, ServiceError> {
             }
         }
         replay.events += 1;
+        if let JournalEvent::CellCompleted { index, .. }
+        | JournalEvent::CellFailed { index, .. }
+        | JournalEvent::CellQuarantined { index, .. } = &event
+        {
+            if *index >= job.len() {
+                return Err(ServiceError::Corrupt {
+                    line: number + 1,
+                    message: format!("cell index {index} out of range"),
+                });
+            }
+        }
         match event {
             JournalEvent::JobStarted { .. } | JournalEvent::JobResumed { .. } => {}
             JournalEvent::CellCompleted { index, digest, report, .. } => {
-                if index >= job.len() {
-                    return Err(ServiceError::Corrupt {
-                        line: number + 1,
-                        message: format!("cell index {index} out of range"),
-                    });
-                }
                 if digest != crate::journal::report_digest(&report) {
                     return Err(ServiceError::Corrupt {
                         line: number + 1,
@@ -650,6 +655,41 @@ mod tests {
         // 5 appends with a batch of 3: one automatic sync + one commit.
         let debug = format!("{journal:?}");
         assert!(debug.contains("fsync_every: 3"), "{debug}");
+    }
+
+    #[test]
+    fn replay_rejects_every_cell_event_outside_the_job() {
+        let cell = Scenario::fsync(8, Algorithm::KnownBound { upper_bound: 8 });
+        let job = Job::new("range", vec![cell]);
+        let report = sample_report();
+        let started = JournalEvent::JobStarted {
+            job_id: "range".into(),
+            fingerprint: job.fingerprint(),
+            cells: 1,
+        };
+        let out_of_range = [
+            JournalEvent::CellCompleted {
+                index: 1,
+                attempt: 1,
+                digest: report_digest(&report),
+                report,
+            },
+            JournalEvent::CellFailed { index: 1, attempt: 1, error: "boom".into() },
+            JournalEvent::CellQuarantined { index: 1, attempts: 3, error: "boom".into() },
+        ];
+        let path = std::env::temp_dir()
+            .join(format!("dynring-journal-range-{}.jsonl", std::process::id()));
+        for event in out_of_range {
+            let text = format!("{}\n{}\n", started.to_json(), event.to_json());
+            std::fs::write(&path, text).unwrap();
+            match replay(&path, &job) {
+                Err(ServiceError::Corrupt { line: 2, message }) => {
+                    assert!(message.contains("out of range"), "{message}");
+                }
+                other => panic!("{event:?} must be rejected as corrupt, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! so the whole map runs in a couple of minutes; pass `--large` for the
 //! larger sweep used in the benchmark harness, or `--huge` for the
 //! *Revisited*-scale battery (larger rings, more seeds, dense start
-//! placements — affordable thanks to the recycled run lifecycle; set
-//! `DYNRING_HUGE_SMOKE=1` to exercise the huge configuration on tiny rings,
-//! as CI does).
+//! placements — affordable thanks to the recycled run lifecycle and the
+//! cruise windows).
 //!
 //! ```bash
 //! cargo run --release --example feasibility_map
@@ -71,17 +70,8 @@ impl MapConfig {
 
     /// The `--huge` battery of the ROADMAP (per the *Revisited* follow-up,
     /// arXiv:2001.04525): larger rings, more seeds and the dense
-    /// start-placement grid. Honour `DYNRING_HUGE_SMOKE=1` (the CI knob)
-    /// by shrinking the rings back to smoke scale while keeping the dense
-    /// grid and extra seeds, so the configuration itself stays exercised.
+    /// start-placement grid.
     pub fn huge() -> Self {
-        if std::env::var("DYNRING_HUGE_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty()) {
-            return MapConfig {
-                seeds: 2,
-                density: PlacementDensity::Dense,
-                ..MapConfig::small()
-            };
-        }
         MapConfig {
             fsync_sizes: vec![8, 16, 32, 64, 128],
             ssync_sizes: vec![6, 9, 12, 16],

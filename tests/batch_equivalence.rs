@@ -62,7 +62,7 @@ fn battery_cells(
     cells
 }
 
-/// The sweep fold over plain per-cell reports: no runner, no lane groups,
+/// The sweep fold over plain per-cell reports: no runner, no threads,
 /// no interning.
 fn reference_sweep(algorithm: Algorithm, n: usize, reports: &[RunReport]) -> SweepOutcome {
     let kind = algorithm.termination_kind();

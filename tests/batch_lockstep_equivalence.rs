@@ -1,34 +1,29 @@
-//! Batched lockstep execution versus the sequential reference, byte for
-//! byte.
+//! Grouped execution versus the sequential reference, byte for byte.
 //!
-//! The `SimBatch` engine path steps B same-shape runs per instruction
-//! stream; `ScenarioBatchRunner` feeds it groups formed by `group_ranges`.
-//! Because every lane owns its RNG streams (scheduler, adversary) and
-//! consumes draws exactly as a solo run would, the batched `RunReport`s must
-//! equal the solo ones **exactly** — same termination round, same outcome,
-//! same per-agent counters — for every catalogue algorithm, both synchrony
-//! families, the full seeded-adversary suite, and any lane cap, including
-//! ragged tails (suite length not divisible by the cap) and mid-batch early
-//! termination (lanes harvested while their batch-mates keep stepping).
-//!
-//! The companion allocation contract (a loaded batch recycles in place,
-//! zero allocations per steady-state generation) lives in
-//! `batch_lockstep_alloc.rs`: it needs a counting global allocator, which
-//! only yields deterministic readings in a single-test binary.
+//! A battery may be cut into consecutive groups (`group_ranges`) and each
+//! group run on a recycled runner (`ScenarioBatchRunner`, one
+//! `ScenarioRunner` carried from cell to cell and from group to group).
+//! Every cell owns its RNG streams (scheduler, adversary), so the grouped
+//! `RunReport`s — and traces, where recorded — must equal those of one fresh
+//! simulation per cell **exactly**, for every catalogue algorithm, both
+//! synchrony families, the full seeded-adversary suite and any group cap,
+//! including ragged tails (suite length not divisible by the cap), repeated
+//! cells and cells that terminate at once next to ones that run out their
+//! budget.
 
 mod common;
 
 use common::{fnv, golden_scenarios};
 use dynring_analysis::batch::{group_ranges, BatchRunner};
-use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner};
+use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner, ScenarioRunner};
 use dynring_analysis::sweeps::{adversary_suite, start_placements};
 use dynring_core::{Algorithm, AlgorithmFamily};
 use dynring_engine::sim::RunReport;
 use proptest::prelude::*;
 
-/// Lane caps exercised everywhere: degenerate (1 = solo fallback), tiny,
-/// prime (ragged tails for every suite length), and wider than any suite
-/// (one group swallows everything).
+/// Group caps exercised everywhere: one cell per group, tiny, prime (ragged
+/// tails for every suite length), and wider than any suite (one group
+/// swallows everything).
 const LANE_CAPS: [usize; 4] = [1, 2, 7, 64];
 
 /// Every algorithm of the paper's catalogue, instantiated for ring size `n`.
@@ -58,13 +53,13 @@ fn natural_scenario(n: usize, algorithm: Algorithm, seed: u64) -> Scenario {
     }
 }
 
-/// Runs `scenarios` through the batched path with an explicit lane cap,
-/// group by group in input order.
+/// Runs `scenarios` group by group in input order, with groups of at most
+/// `cap` cells, on one recycled group runner.
 fn batched_with_cap(scenarios: &[Scenario], cap: usize) -> Vec<RunReport> {
     let mut runner = ScenarioBatchRunner::new();
     let mut out = Vec::with_capacity(scenarios.len());
     for range in group_ranges(scenarios, |scenario| scenario, cap) {
-        runner.run_group_into(&scenarios[range], &mut out);
+        out.extend_from_slice(runner.run_group_reports(&scenarios[range]));
     }
     out
 }
@@ -75,10 +70,9 @@ fn sequential(scenarios: &[Scenario]) -> Vec<RunReport> {
 }
 
 /// The full catalogue under the seeded-adversary suite: for every algorithm
-/// and every lane cap, the batched reports equal the solo reports exactly.
-/// The suite mixes fast-terminating lanes (static dynamics) with
-/// budget-exhausting ones (blocked edges), so the early-harvest / lane
-/// compaction machinery is exercised in every batch.
+/// and every group cap, the grouped reports equal the solo reports exactly.
+/// The suite mixes fast-terminating cells (static dynamics) with
+/// budget-exhausting ones (blocked edges) inside every group.
 #[test]
 fn catalogue_batched_equals_sequential_for_every_lane_cap() {
     let n = 7;
@@ -92,14 +86,14 @@ fn catalogue_batched_equals_sequential_for_every_lane_cap() {
             assert_eq!(
                 batched_with_cap(&scenarios, cap),
                 reference,
-                "{algorithm:?} diverged at lane cap {cap}"
+                "{algorithm:?} diverged at group cap {cap}"
             );
         }
     }
 }
 
-/// Placement diversity inside one batch: every lane of a group may start its
-/// team elsewhere (and flip orientations); the reports still match solo.
+/// Placement diversity inside one group: every cell may start its team
+/// elsewhere (and flip orientations); the reports still match solo.
 #[test]
 fn placement_mixes_batch_identically() {
     let n = 9;
@@ -118,15 +112,15 @@ fn placement_mixes_batch_identically() {
     }
     let reference = sequential(&scenarios);
     for cap in LANE_CAPS {
-        assert_eq!(batched_with_cap(&scenarios, cap), reference, "lane cap {cap}");
+        assert_eq!(batched_with_cap(&scenarios, cap), reference, "group cap {cap}");
     }
 }
 
 /// A shape-heterogeneous battery (different ring sizes, synchrony models and
-/// a trace-recording cell) splits into groups such that batched execution is
-/// still byte-identical — shape changes open fresh groups without disturbing
-/// their neighbours, while trace cells batch with their shape-mates (the
-/// columnar trace records on the batched path).
+/// a trace-recording cell) is cut into consecutive groups of at most `cap`
+/// cells, whatever their shapes, and grouped execution is still
+/// byte-identical: a shape change inside a group recycles the runner
+/// without disturbing its neighbours.
 #[test]
 fn mixed_shape_battery_groups_and_matches() {
     let scenarios = vec![
@@ -138,16 +132,17 @@ fn mixed_shape_battery_groups_and_matches() {
         Scenario::ssync(6, Algorithm::PtLandmarkChirality, 4),
         Scenario::fsync(6, Algorithm::LandmarkChirality),
     ];
-    // The trace cell shares its neighbours' shape, so it batches with them
-    // instead of sitting in a singleton group.
-    let ranges = group_ranges(&scenarios, |scenario| scenario, 64);
-    assert!(ranges.contains(&(0..3)), "trace cell not batched with its shape-mates: {ranges:?}");
+    assert_eq!(group_ranges(&scenarios, |scenario| scenario, 64), vec![0..7]);
+    assert_eq!(group_ranges(&scenarios, |scenario| scenario, 2), vec![0..2, 2..4, 4..6, 6..7]);
+    // A zero cap is clamped to one cell per group.
+    assert_eq!(group_ranges(&scenarios, |scenario| scenario, 0).len(), scenarios.len());
     let reference = sequential(&scenarios);
     for cap in LANE_CAPS {
-        assert_eq!(batched_with_cap(&scenarios, cap), reference, "lane cap {cap}");
+        assert_eq!(batched_with_cap(&scenarios, cap), reference, "group cap {cap}");
     }
-    // The public parallel executor rides the same grouping.
+    // The public parallel executor gives the same reports.
     assert_eq!(BatchRunner::sequential().run_reports(&scenarios), reference);
+    assert_eq!(BatchRunner::new(2).run_reports(&scenarios), reference);
 }
 
 /// Digest of one cell's full `(RunReport, Trace)` execution record from a
@@ -159,19 +154,17 @@ fn solo_trace_digest(scenario: &Scenario) -> u64 {
     fnv(&format!("{report:?}|{trace:?}"))
 }
 
-/// Batched per-cell `(RunReport, Trace)` digests at lane cap `cap`. Each
-/// group's traces are read back before the runner loads the next group
-/// (loading reuses the lane buffers, so traces only live until then).
+/// Per-cell `(RunReport, Trace)` digests of grouped execution at group cap
+/// `cap`, on one runner recycled across all groups. Each cell's trace is
+/// read back before the runner moves on (recycling reuses the trace
+/// buffers, so a trace only lives until the next run).
 fn batched_trace_digests(scenarios: &[Scenario], cap: usize) -> Vec<u64> {
-    let mut runner = ScenarioBatchRunner::new();
+    let mut runner = ScenarioRunner::new();
     let mut out = Vec::with_capacity(scenarios.len());
-    let mut reports = Vec::new();
     for range in group_ranges(scenarios, |scenario| scenario, cap) {
-        reports.clear();
-        runner.run_group_into(&scenarios[range], &mut reports);
-        for (index, report) in reports.iter().enumerate() {
-            let trace =
-                runner.trace(index).expect("trace-on cell records on the batched path");
+        for scenario in &scenarios[range] {
+            let report = runner.run(scenario);
+            let trace = runner.trace().expect("trace-on cell records on the recycled path");
             out.push(fnv(&format!("{report:?}|{trace:?}")));
         }
     }
@@ -179,9 +172,7 @@ fn batched_trace_digests(scenarios: &[Scenario], cap: usize) -> Vec<u64> {
 }
 
 /// Trace-on cells across the full catalogue and adversary suite: at every
-/// lane cap the batched traces digest identically to fresh solo runs —
-/// recording on the batched path is observably the same columnar append
-/// stream as the solo step.
+/// group cap the grouped traces digest identically to fresh solo runs.
 #[test]
 fn trace_on_cells_batch_byte_identically_at_every_lane_cap() {
     let n = 7;
@@ -197,15 +188,16 @@ fn trace_on_cells_batch_byte_identically_at_every_lane_cap() {
             assert_eq!(
                 batched_trace_digests(&scenarios, cap),
                 reference,
-                "{algorithm:?} traces diverged at lane cap {cap}"
+                "{algorithm:?} traces diverged at group cap {cap}"
             );
         }
     }
 }
 
-/// Mixed trace-on/trace-off lanes inside one group: recording stays strictly
-/// per lane (off-lanes expose no trace), the reports still match solo, and
-/// the traced lanes digest identically to their solo runs.
+/// Trace-on and trace-off cells alternating inside one group: recording
+/// stays strictly per cell (off-cells expose no trace, even right after a
+/// traced one), the reports still match solo, and the traced cells digest
+/// identically to their solo runs.
 #[test]
 fn mixed_trace_lanes_record_only_where_enabled() {
     let n = 8;
@@ -223,49 +215,53 @@ fn mixed_trace_lanes_record_only_where_enabled() {
         })
         .collect();
     let reference = sequential(&scenarios);
-    let mut runner = ScenarioBatchRunner::new();
-    let reports = runner.run_group(&scenarios);
-    assert_eq!(reports, reference);
+    assert_eq!(ScenarioBatchRunner::new().run_group_reports(&scenarios), reference.as_slice());
+    let mut runner = ScenarioRunner::new();
     for (index, scenario) in scenarios.iter().enumerate() {
-        match runner.trace(index) {
+        let report = runner.run(scenario);
+        assert_eq!(report, reference[index], "cell {index}");
+        match runner.trace() {
             Some(trace) => {
-                assert!(scenario.record_trace, "lane {index} recorded without asking");
-                let digest = fnv(&format!("{:?}|{trace:?}", reports[index]));
-                assert_eq!(digest, solo_trace_digest(scenario), "lane {index}");
+                assert!(scenario.record_trace, "cell {index} recorded without asking");
+                let digest = fnv(&format!("{report:?}|{trace:?}"));
+                assert_eq!(digest, solo_trace_digest(scenario), "cell {index}");
             }
-            None => assert!(!scenario.record_trace, "lane {index} lost its trace"),
+            None => assert!(!scenario.record_trace, "cell {index} lost its trace"),
         }
     }
 }
 
-/// The pinned pre-refactor golden digests, reproduced through the *batched*
-/// engine path: each golden scenario is doubled into a two-lane group (so it
-/// cannot ride the solo fallback) and both lanes must digest to the pinned
-/// value.
+/// The pinned pre-refactor golden digests, reproduced through grouped
+/// execution: each golden scenario is doubled into a two-cell group, so the
+/// second run takes the runner's identical-cell recycle path, and both runs
+/// must digest to the pinned value.
 #[test]
 fn batched_trace_lanes_reproduce_the_pinned_golden_digests() {
     for (name, scenario, expected) in golden_scenarios() {
         let group = vec![scenario.clone(), scenario];
-        let mut runner = ScenarioBatchRunner::new();
-        let reports = runner.run_group(&group);
-        for (index, report) in reports.iter().enumerate() {
-            let trace = runner.trace(index).expect("golden scenarios record traces");
+        let mut runner = ScenarioRunner::new();
+        let mut reports = Vec::new();
+        for (index, cell) in group.iter().enumerate() {
+            let report = runner.run(cell);
+            let trace = runner.trace().expect("golden scenarios record traces");
             let digest = fnv(&format!("{report:?}|{trace:?}"));
             assert_eq!(
                 digest, expected,
-                "{name} lane {index}: batched execution drifted from the \
+                "{name} cell {index}: grouped execution drifted from the \
                  pre-refactor engine (got {digest:#018x}, pinned {expected:#018x})"
             );
+            reports.push(report);
         }
+        assert_eq!(ScenarioBatchRunner::new().run_group_reports(&group), reports.as_slice());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random seed/placement mixes: lanes of one batch differ in starts,
-    /// adversary seed and presence probability, and the batch still equals
-    /// solo execution at an arbitrary lane cap.
+    /// Random seed/placement mixes: cells of one group differ in starts,
+    /// adversary seed and presence probability, and grouped execution still
+    /// equals solo execution at an arbitrary group cap.
     #[test]
     fn random_seed_and_placement_mixes_are_lane_cap_invariant(
         n in 5usize..10,
@@ -295,10 +291,10 @@ proptest! {
         prop_assert_eq!(batched_with_cap(&scenarios, cap), sequential(&scenarios));
     }
 
-    /// Mid-batch early termination: one lane meets immediately (co-located
-    /// team, static ring), siblings fight blocking adversaries for orders of
-    /// magnitude longer. Harvesting the early lane must not shift any
-    /// surviving lane's RNG streams or round counters.
+    /// Early termination inside a group: one cell meets immediately
+    /// (co-located team, static ring), its neighbours fight blocking
+    /// adversaries for orders of magnitude longer. The early cell must not
+    /// shift any later cell's RNG streams or round counters.
     #[test]
     fn early_terminating_lanes_leave_survivors_untouched(
         n in 5usize..9,

@@ -1,14 +1,12 @@
 //! Cruise windows change how rounds are played, never what they produce.
 //!
-//! `Simulation::run` and the batched FSYNC lanes play the Theorem 8
-//! termination wait in cruise windows (see `docs/ARCHITECTURE.md`, "Cruise
+//! `Simulation::run` plays the Theorem 8 termination wait in cruise windows (see `docs/ARCHITECTURE.md`, "Cruise
 //! windows"); `Simulation::step` and trace-recording runs never enter one.
 //! This suite runs the Theorem 8 battery both ways and pins the window
 //! counters, so a window that drifts from the generic round fails a report
 //! comparison and a window that silently stops opening fails a counter pin.
 
-use dynring_analysis::batch::group_ranges;
-use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioBatchRunner, ScenarioRunner};
+use dynring_analysis::scenario::{AdversaryKind, Scenario, ScenarioRunner};
 use dynring_analysis::sweeps::{
     adversary_suite, orientation_choices, round_budget, start_placements_with, PlacementDensity,
 };
@@ -93,7 +91,6 @@ fn check_battery(algorithm: Algorithm, n: usize) -> CruiseStats {
     let (oracle, states): (Vec<RunReport>, Vec<Vec<u8>>) = cells.iter().map(step_loop).unzip();
 
     let mut total = CruiseStats::default();
-    let mut per_cell = Vec::new();
     let mut runner = ScenarioRunner::new();
     for (index, (cell, expected)) in cells.iter().zip(&oracle).enumerate() {
         // The fresh windowed run must also leave every program in the
@@ -107,24 +104,7 @@ fn check_battery(algorithm: Algorithm, n: usize) -> CruiseStats {
         assert_eq!(&sim.run(traced.max_rounds, traced.stop), expected, "trace-on, cell {index}");
         assert_eq!(sim.cruise_stats(), CruiseStats::default(), "trace-on runs never cruise");
         assert_eq!(&runner.run(cell), expected, "recycled, cell {index}: {}", cell.label());
-        per_cell.push(runner.cruise_stats());
         add(&mut total, runner.cruise_stats());
-    }
-
-    for lanes in [1, 2, 7] {
-        let mut batched = ScenarioBatchRunner::new();
-        for range in group_ranges(&cells, |s| s, lanes) {
-            let reports = batched.run_group(&cells[range.clone()]);
-            for (offset, report) in reports.iter().enumerate() {
-                let index = range.start + offset;
-                assert_eq!(report, &oracle[index], "{lanes} lanes, cell {index}");
-                assert_eq!(
-                    batched.cruise_stats(offset),
-                    per_cell[index],
-                    "{lanes} lanes, window counters of cell {index}"
-                );
-            }
-        }
     }
     total
 }
@@ -151,7 +131,7 @@ fn theorem8_battery_n32_matches_the_step_oracle() {
 }
 
 /// Exact window counters of golden `n = 128` cells, read from the recycled
-/// solo runner and from batched lanes. When both agents end up walking the
+/// runner. When both agents end up walking the
 /// same way, the whole wait is one quiet jump, under the meeting preventer
 /// too. When they walk towards each other on the static ring, every jump
 /// stops one round short of their meeting, that round is played per round
@@ -177,15 +157,9 @@ fn golden_cells_pin_their_window_counters() {
         ),
     ];
     let mut runner = ScenarioRunner::new();
-    let mut batched = ScenarioBatchRunner::new();
     for (cell, expected) in &cells {
         let report = runner.run(cell);
         assert!(report.all_terminated, "{}", cell.label());
         assert_eq!(runner.cruise_stats(), *expected, "solo: {}", cell.label());
-        let pair = [cell.clone(), cell.clone()];
-        let reports = batched.run_group(&pair);
-        assert_eq!(reports, vec![report.clone(), report]);
-        assert_eq!(batched.cruise_stats(0), *expected, "batched: {}", cell.label());
-        assert_eq!(batched.cruise_stats(1), *expected, "batched: {}", cell.label());
     }
 }

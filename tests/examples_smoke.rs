@@ -57,9 +57,9 @@ fn feasibility_map_rows_all_hold() {
 
 #[test]
 fn feasibility_map_huge_config_holds_at_smoke_scale() {
-    // The `--huge` battery (dense placements, extra seeds) on smoke-scale
-    // rings, exactly as the CI job runs it — the configuration cannot rot
-    // even when nobody runs the full-size battery.
+    // The `--huge` battery's dense placement grid on smoke-scale rings, so
+    // the configuration is exercised by every test run (CI also runs the
+    // full-size battery against its pinned output).
     let mut config = feasibility_map::MapConfig::small();
     config.density = dynring_analysis::PlacementDensity::Dense;
     assert!(feasibility_map::run(&config), "huge battery inconsistent with the paper");

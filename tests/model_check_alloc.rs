@@ -9,7 +9,7 @@
 //!
 //! This file deliberately holds a **single** test: the counting global
 //! allocator is process-wide, so any concurrently running test would bleed
-//! its allocations into the measured window (`batch_lockstep_alloc.rs` pins
+//! its allocations into the measured window (`recycle_alloc.rs` pins
 //! the engine-side contract the same way).
 
 use dynring_analysis::model_check::{self, SearchContext};
